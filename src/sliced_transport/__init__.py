@@ -27,6 +27,7 @@ from .errors import (
     InvalidCoupling,
     InvalidT,
     MassImbalance,
+    NonFiniteAtoms,
     NonPositiveTotalMass,
     NonUnitDirection,
     TransportError,
@@ -73,6 +74,7 @@ __all__ = [
     "InvalidCoupling",
     "InvalidT",
     "MassImbalance",
+    "NonFiniteAtoms",
     "NonPositiveTotalMass",
     "NonUnitDirection",
     "OneDPlan",

@@ -3,7 +3,7 @@
 Exit codes: 2 unreadable/unparsable input, 3 dimension mismatch between the
 two measures, 4 unwritable output location, 5 unknown experiment name.
 Given the same inputs, options, and seed the outputs are byte-identical
-across runs and across EST_THREADS settings.
+across runs.
 """
 
 from __future__ import annotations
@@ -52,13 +52,13 @@ class RunConfig:
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.p <= 1:
-            raise click.BadParameter("p must exceed 1", param_hint="--p")
+        if not 1 < self.p < float("inf"):
+            raise click.BadParameter("p must be a finite number > 1", param_hint="--p")
         if self.slices < 1:
             raise click.BadParameter("need at least one slice", param_hint="--slices")
-        if self.tau < 0:
-            raise click.BadParameter("tau must be nonnegative", param_hint="--tau")
-        if self.grouping_tol < 0:
+        if not 0 <= self.tau < float("inf"):
+            raise click.BadParameter("tau must be a finite number >= 0", param_hint="--tau")
+        if not self.grouping_tol >= 0:
             raise click.BadParameter(
                 "grouping tolerance must be nonnegative", param_hint="--grouping-tol"
             )

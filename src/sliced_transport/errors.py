@@ -21,6 +21,10 @@ class WeightSumOutOfTolerance(TransportError):
     """Weights do not sum to 1 within the construction tolerance."""
 
 
+class NonFiniteAtoms(TransportError):
+    """An atom coordinate is NaN or infinite."""
+
+
 class IndexOutOfRange(TransportError):
     """A plan references atom indices outside its declared sizes."""
 

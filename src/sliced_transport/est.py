@@ -10,25 +10,22 @@ costs:
 With uniform weights this Monte-Carlo averages over directions; a
 temperature tau reweights directions by a softmax of -tau * cost_l**p,
 which interpolates between the uniform average (tau = 0) and the single
-cheapest direction (tau -> infinity).
+cheapest direction (tau -> infinity).  All three entry points run one loop
+that differs only in how the slices are weighted.
 
-Aggregation is a single-threaded deterministic fold: contributions are
-merged on (i, j) keys in slice order, then summed left to right per key,
-so results are reproducible bit for bit regardless of how many worker
-threads computed the per-slice plans.  The EST_THREADS environment
-variable (or the ``threads`` argument) caps that worker count.
+Aggregation is a deterministic fold: contributions are merged on (i, j)
+keys in slice order, then summed left to right per key, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, TransportError
-from .lifting import lift_for_direction
+from .lifting import _check_pair, _slice
 from .measures import DiscreteMeasure, TransportPlan, _readonly
 from .slicing import DEFAULT_GROUPING_TOL, UNIT_TOL
 
@@ -50,7 +47,7 @@ class SliceSet:
         if weights.shape != (directions.shape[0],):
             raise DimensionMismatch("need one weight per direction")
         norms = np.linalg.norm(directions, axis=1)
-        if float(np.max(np.abs(norms - 1.0))) > UNIT_TOL:
+        if not float(np.max(np.abs(norms - 1.0))) <= UNIT_TOL:
             raise TransportError("every direction must be unit length within 1e-12")
         if np.any(weights < 0):
             raise TransportError("slice weights must be nonnegative")
@@ -66,7 +63,7 @@ class SliceSet:
     def uniform(cls, directions) -> "SliceSet":
         directions = np.asarray(directions, dtype=float)
         count = directions.shape[0]
-        return cls(directions, np.full(count, 1.0 / count))
+        return cls(directions, np.full(count, 1.0 / max(count, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,63 +80,37 @@ class EstResult:
     slice_weights: np.ndarray
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    raw = os.environ.get("EST_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _run(source, target, directions, p, grouping_tol, weigh):
+    """Lift along every direction and merge the slices under ``weigh(costs)``.
 
-
-def _per_slice(
-    source: DiscreteMeasure,
-    target: DiscreteMeasure,
-    directions: np.ndarray,
-    p: float,
-    grouping_tol: float,
-    threads: int | None,
-) -> list[tuple[TransportPlan, float]]:
-    """Lift along every direction, results in direction order."""
-    workers = _resolve_threads(threads)
-
-    def one(k: int) -> tuple[TransportPlan, float]:
-        return lift_for_direction(source, target, directions[k], p, grouping_tol)
-
-    count = directions.shape[0]
-    if workers == 1 or count == 1:
-        return [one(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(count)))
-
-
-def _merge(
-    plans: list[TransportPlan],
-    weights: np.ndarray,
-    source_size: int,
-    target_size: int,
-) -> TransportPlan:
-    """Weighted merge of sparse plans on (i, j) keys, slice order first."""
-    keys_parts: list[np.ndarray] = []
-    mass_parts: list[np.ndarray] = []
-    for weight, plan in zip(weights, plans):
-        w = float(weight)
-        if w == 0.0:
-            continue
-        keys_parts.append(plan.i * target_size + plan.j)
-        mass_parts.append(w * plan.mass)
-    keys = np.concatenate(keys_parts)
-    mass = np.concatenate(mass_parts)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    mass = mass[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    merged = np.add.reduceat(mass, starts)
-    uniq = keys[starts]
-    return TransportPlan(
-        source_size, target_size, uniq // target_size, uniq % target_size, merged
-    )
+    Checks the inputs once (``project`` checks ``grouping_tol`` on the first
+    slice).  Returns the merged plan, the per-slice costs and the slice
+    weights; slices of weight 0 add nothing to the plan.
+    """
+    directions = np.asarray(directions, dtype=float)
+    _check_pair(source, target, p)
+    if directions.ndim != 2 or directions.shape[0] < 1:
+        raise DimensionMismatch("directions must form a nonempty (L, d) array")
+    if directions.shape[1] != source.dim:
+        raise DimensionMismatch("slice directions do not match the measure dimension")
+    size = len(target)
+    keys, masses = [], []
+    costs = np.empty(directions.shape[0])
+    for k, theta in enumerate(directions):
+        i, j, mass, costs[k] = _slice(source, target, theta, p, grouping_tol)
+        keys.append(i * size + j)
+        masses.append(mass)
+    weights = weigh(costs)
+    used = [k for k in range(len(keys)) if weights[k] != 0.0]
+    key = np.concatenate([keys[k] for k in used])
+    mass = np.concatenate([float(weights[k]) * masses[k] for k in used])
+    order = np.argsort(key, kind="stable")
+    key, mass = key[order], mass[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    key = key[starts]
+    plan = TransportPlan(len(source), size, key // size, key % size,
+                         np.add.reduceat(mass, starts))
+    return plan, costs, weights
 
 
 def _fold_distance(weights: np.ndarray, costs: np.ndarray, p: float) -> float:
@@ -155,7 +126,6 @@ def est_plan(
     slices: SliceSet,
     p: float = 2.0,
     grouping_tol: float = DEFAULT_GROUPING_TOL,
-    threads: int | None = None,
 ) -> EstResult:
     """Average the lifted plans over a weighted slice set.
 
@@ -169,19 +139,11 @@ def est_plan(
         Cost exponent, > 1.
     grouping_tol : float
         Relative projection-grouping tolerance (see :mod:`slicing`).
-    threads : int or None
-        Worker threads for the per-slice work; defaults to EST_THREADS or 1.
-        Results do not depend on the worker count.
     """
-    if source.dim != target.dim:
-        raise DimensionMismatch("source and target dimensions differ")
-    if slices.directions.shape[1] != source.dim:
-        raise DimensionMismatch("slice directions do not match the measure dimension")
-    per = _per_slice(source, target, slices.directions, p, grouping_tol, threads)
-    costs = np.asarray([c for _, c in per], dtype=float)
-    plan = _merge([pl for pl, _ in per], slices.weights, len(source), len(target))
-    distance = _fold_distance(slices.weights, costs, p)
-    return EstResult(plan, distance, costs, np.array(slices.weights))
+    plan, costs, weights = _run(
+        source, target, slices.directions, p, grouping_tol, lambda costs: slices.weights
+    )
+    return EstResult(plan, _fold_distance(weights, costs, p), costs, np.array(weights))
 
 
 def sigma_tau_weights(costs_pth_power, tau: float) -> np.ndarray:
@@ -197,8 +159,8 @@ def sigma_tau_weights(costs_pth_power, tau: float) -> np.ndarray:
         raise TransportError("need a nonempty cost vector")
     if not np.all(np.isfinite(costs)):
         raise TransportError("per-slice costs must be finite")
-    if tau < 0:
-        raise TransportError("temperature must be nonnegative")
+    if not 0 <= tau < np.inf:
+        raise TransportError(f"tau must be a finite number >= 0, got {tau!r}")
     z = np.exp(-tau * (costs - costs.min()))
     return z / float(z.sum())
 
@@ -210,26 +172,18 @@ def est_plan_tempered(
     p: float = 2.0,
     tau: float = 0.0,
     grouping_tol: float = DEFAULT_GROUPING_TOL,
-    threads: int | None = None,
 ) -> EstResult:
     """Sliced plan under the temperature-softened direction weights.
 
-    Two passes over one set of cached per-slice plans: the first computes
-    the per-slice costs that define the softmax weights, the second merges
-    the cached plans under those weights.  tau = 0 reproduces
-    :func:`est_plan` with uniform weights bit for bit.
+    The per-slice costs define the softmax weights, which then merge the
+    per-slice plans.  tau = 0 reproduces :func:`est_plan` with uniform
+    weights bit for bit.
     """
-    directions = np.asarray(directions, dtype=float)
-    if source.dim != target.dim:
-        raise DimensionMismatch("source and target dimensions differ")
-    if directions.ndim != 2 or directions.shape[1] != source.dim:
-        raise DimensionMismatch("slice directions do not match the measure dimension")
-    per = _per_slice(source, target, directions, p, grouping_tol, threads)
-    costs = np.asarray([c for _, c in per], dtype=float)
-    weights = sigma_tau_weights(costs**p, tau)
-    plan = _merge([pl for pl, _ in per], weights, len(source), len(target))
-    distance = _fold_distance(weights, costs, p)
-    return EstResult(plan, distance, costs, weights)
+    plan, costs, weights = _run(
+        source, target, directions, p, grouping_tol,
+        lambda costs: sigma_tau_weights(costs**p, tau),
+    )
+    return EstResult(plan, _fold_distance(weights, costs, p), costs, weights)
 
 
 def min_swgg(
@@ -238,19 +192,15 @@ def min_swgg(
     directions,
     p: float = 2.0,
     grouping_tol: float = DEFAULT_GROUPING_TOL,
-    threads: int | None = None,
 ) -> tuple[int, TransportPlan, float]:
     """Cheapest single slice: index, lifted plan, and cost.
 
     Ties break toward the lowest slice index.  Equals the tau -> infinity
     limit of the tempered plan when the minimum cost is unique.
     """
-    directions = np.asarray(directions, dtype=float)
-    if source.dim != target.dim:
-        raise DimensionMismatch("source and target dimensions differ")
-    if directions.ndim != 2 or directions.shape[1] != source.dim:
-        raise DimensionMismatch("slice directions do not match the measure dimension")
-    per = _per_slice(source, target, directions, p, grouping_tol, threads)
-    costs = np.asarray([c for _, c in per], dtype=float)
+    plan, costs, _ = _run(
+        source, target, directions, p, grouping_tol,
+        lambda costs: (np.arange(costs.shape[0]) == np.argmin(costs)).astype(float),
+    )
     best = int(np.argmin(costs))
-    return best, per[best][0], float(costs[best])
+    return best, plan, float(costs[best])

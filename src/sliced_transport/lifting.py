@@ -3,7 +3,7 @@
 A 1D entry (a, b, m) between two projected measures spreads its mass over
 the member atoms of the two classes in proportion to their weights:
 
-    mass(i, j) = m * p_i * q_j / (P_a * Q_b)
+    mass(i, j) = m * (p_i / P_a) * (q_j / Q_b)
 
 for i in class a (source weight p_i, class mass P_a) and j in class b.
 Summing over a class pair recovers m, so the lifted plan couples the
@@ -14,20 +14,66 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ClassMismatch, DimensionMismatch
-from .measures import DiscreteMeasure, TransportPlan, plan_cost
+from .errors import ClassMismatch, DimensionMismatch, MassImbalance
+from .measures import DiscreteMeasure, TransportPlan, _check_p, _plan_cost
 from .slicing import (
     DEFAULT_GROUPING_TOL,
+    MASS_BALANCE_TOL,
     OneDPlan,
     ProjectedMeasure,
+    _monotone,
     project,
-    solve_1d,
 )
 
 # Lifted entries below this mass are dropped; their total is re-added
 # proportionally to the surviving entries of the same 1D entry so the
 # per-class-pair totals (and hence the marginals) are preserved.
 MASS_FLOOR = 1e-15
+
+
+def _check_pair(source: DiscreteMeasure, target: DiscreteMeasure, p: float) -> None:
+    if source.dim != target.dim:
+        raise DimensionMismatch("source and target dimensions differ")
+    if abs(float(source.weights.sum()) - float(target.weights.sum())) > MASS_BALANCE_TOL:
+        raise MassImbalance("source and target carry different total mass")
+    _check_p(p)
+
+
+def _spread(ps: ProjectedMeasure, pt: ProjectedMeasure, a, b, m):
+    """Lifted entries ``(i, j, mass)`` of the 1D entries ``(a, b, m)``.
+
+    Each class pair expands row-major over its members; entries below
+    MASS_FLOOR are dropped and their mass re-added within the 1D entry.
+    """
+    sa, sb = ps.class_starts[a], pt.class_starts[b]
+    cols = pt.class_starts[b + 1] - sb
+    sizes = (ps.class_starts[a + 1] - sa) * cols
+    entry = np.repeat(np.arange(a.shape[0]), sizes)
+    offset = np.arange(entry.shape[0]) - (np.cumsum(sizes) - sizes)[entry]
+    si = sa[entry] + offset // cols[entry]
+    tj = sb[entry] + offset % cols[entry]
+    mass = (
+        m[entry]
+        * (ps.member_weights[si] / ps.class_masses[a][entry])
+        * (pt.member_weights[tj] / pt.class_masses[b][entry])
+    )
+    low = mass < MASS_FLOOR
+    if low.any():
+        # Entries with no survivor keep everything; elsewhere total / kept
+        # is exactly 1 unless something was dropped.
+        keep = ~low | (np.bincount(entry, weights=~low)[entry] == 0)
+        scale = np.bincount(entry, weights=mass) / np.bincount(entry[keep], weights=mass[keep])
+        si, tj, mass = si[keep], tj[keep], mass[keep] * scale[entry[keep]]
+    return ps.member_indices[si], pt.member_indices[tj], mass
+
+
+def _slice(source: DiscreteMeasure, target: DiscreteMeasure, direction, p: float,
+           grouping_tol: float):
+    """Raw lifted plan ``(i, j, mass)`` and its cost along one direction."""
+    ps = project(source, direction, grouping_tol)
+    pt = project(target, direction, grouping_tol)
+    i, j, mass = _spread(ps, pt, *_monotone(ps.class_masses, pt.class_masses))
+    return i, j, mass, _plan_cost(source.atoms, target.atoms, i, j, mass, p)
 
 
 def _check_projection(measure: DiscreteMeasure, proj: ProjectedMeasure, side: str) -> None:
@@ -52,37 +98,8 @@ def lift(
         raise ClassMismatch("1D plan references a missing source class")
     if int(plan1d.b.max()) >= proj_target.n_classes or int(plan1d.b.min()) < 0:
         raise ClassMismatch("1D plan references a missing target class")
-    if proj_source.all_singletons and proj_target.all_singletons:
-        i = proj_source.member_indices[plan1d.a]
-        j = proj_target.member_indices[plan1d.b]
-        return TransportPlan(len(source), len(target), i, j, plan1d.mass.copy())
-    parts_i: list[np.ndarray] = []
-    parts_j: list[np.ndarray] = []
-    parts_m: list[np.ndarray] = []
-    for a, b, m in zip(plan1d.a, plan1d.b, plan1d.mass):
-        si, sw = proj_source.class_members(int(a))
-        ti, tw = proj_target.class_members(int(b))
-        denom = float(proj_source.class_masses[a]) * float(proj_target.class_masses[b])
-        flat = (float(m) / denom) * np.outer(sw, tw).ravel()
-        ii = np.repeat(si, ti.shape[0])
-        jj = np.tile(ti, si.shape[0])
-        keep = flat >= MASS_FLOOR
-        if keep.any() and not keep.all():
-            total = float(flat.sum())
-            flat = flat[keep]
-            flat = flat * (total / float(flat.sum()))
-            ii = ii[keep]
-            jj = jj[keep]
-        parts_i.append(ii)
-        parts_j.append(jj)
-        parts_m.append(flat)
-    return TransportPlan(
-        len(source),
-        len(target),
-        np.concatenate(parts_i),
-        np.concatenate(parts_j),
-        np.concatenate(parts_m),
-    )
+    i, j, mass = _spread(proj_source, proj_target, plan1d.a, plan1d.b, plan1d.mass)
+    return TransportPlan(len(source), len(target), i, j, mass)
 
 
 def lift_for_direction(
@@ -98,10 +115,6 @@ def lift_for_direction(
     ``plan_cost(plan, source, target, p)``, the slice's contribution to the
     sliced distance.
     """
-    if source.dim != target.dim:
-        raise DimensionMismatch("source and target dimensions differ")
-    proj_source = project(source, direction, grouping_tol)
-    proj_target = project(target, direction, grouping_tol)
-    plan1d = solve_1d(proj_source, proj_target)
-    plan = lift(source, target, proj_source, proj_target, plan1d)
-    return plan, plan_cost(plan, source, target, p)
+    _check_pair(source, target, p)
+    i, j, mass, cost = _slice(source, target, direction, p, grouping_tol)
+    return TransportPlan(len(source), len(target), i, j, mass), cost

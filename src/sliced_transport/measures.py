@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    NonFiniteAtoms,
     NonPositiveTotalMass,
     TransportError,
     WeightSumOutOfTolerance,
@@ -31,6 +32,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_p(p: float) -> None:
+    if not 1 < p < np.inf:
+        raise TransportError(f"p must be a finite number > 1, got {p!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """A finite weighted point set carrying unit total mass.
@@ -38,8 +44,8 @@ class DiscreteMeasure:
     Attributes
     ----------
     atoms : ndarray, shape (n, d)
-        Atom locations.  Duplicate locations are allowed and stay distinct
-        (atoms are identified by index, not by coordinates).
+        Finite atom locations.  Duplicate locations are allowed and stay
+        distinct (atoms are identified by index, not by coordinates).
     weights : ndarray, shape (n,)
         Strictly positive masses summing to 1.
     """
@@ -56,6 +62,8 @@ class DiscreteMeasure:
             raise DimensionMismatch("weights must be a vector matching the atom count")
         if atoms.shape[0] == 0:
             raise NonPositiveTotalMass("a measure needs at least one atom")
+        if not np.all(np.isfinite(atoms)):
+            raise NonFiniteAtoms("atom coordinates must be finite")
         if not np.all(weights > 0):
             raise NonPositiveTotalMass("weights must be strictly positive")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
@@ -83,12 +91,13 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
     ------
     DimensionMismatch
         Ragged atoms, or atom/weight length disagreement.
+    NonFiniteAtoms
+        A NaN or infinite atom coordinate.
     NonPositiveTotalMass
         Negative weights, no atoms, or total mass <= 0.
     WeightSumOutOfTolerance
         Total mass differs from 1 by more than 1e-9.
     """
-    atoms_arr = np.asarray(atoms, dtype=object)
     try:
         atoms_arr = np.asarray(atoms, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -183,15 +192,18 @@ def plan_cost(
 
     Requires p > 1.  The sum runs over the plan's sparse entries only.
     """
-    if p <= 1:
-        raise TransportError("p must exceed 1")
+    _check_p(p)
     if plan.source_size != len(source) or plan.target_size != len(target):
         raise IndexOutOfRange("plan sizes do not match the given measures")
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimensions differ")
-    diffs = source.atoms[plan.i] - target.atoms[plan.j]
+    return _plan_cost(source.atoms, target.atoms, plan.i, plan.j, plan.mass, p)
+
+
+def _plan_cost(x: np.ndarray, y: np.ndarray, i, j, mass, p: float) -> float:
+    diffs = x[i] - y[j]
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    total = float(np.sum(plan.mass * dists**p))
+    total = float(np.sum(mass * dists**p))
     return max(total, 0.0) ** (1.0 / p)
 
 

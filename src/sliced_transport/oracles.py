@@ -7,8 +7,8 @@ Three independent routes:
   Works on the p-th-power costs and takes the root only at the end.
 * ``wasserstein_1d``: closed-form 1D distance by inverse-CDF integration
   over the merged cumulative-mass breakpoints.  Deliberately shares no code
-  with the north-west-corner sweep in :mod:`slicing`, so the two can
-  cross-check each other.
+  with ``solve_1d`` in :mod:`slicing`, so the two can cross-check each
+  other.
 * ``sinkhorn``: entropic regularization, iterated in the log domain from
   the first step.  The regularizer ``lam`` applies to the raw
   ``|x - y|**p`` costs.
@@ -27,7 +27,7 @@ from .errors import (
     MassImbalance,
     TransportError,
 )
-from .measures import DiscreteMeasure, TransportPlan, plan_cost, product_coupling
+from .measures import DiscreteMeasure, TransportPlan, _check_p, plan_cost, product_coupling
 
 # Desk-scale guard for the LP: at most this many plan variables.
 EXACT_SIZE_LIMIT = 250_000
@@ -50,8 +50,7 @@ def wasserstein_exact(
     Raises InstanceTooLarge when n * m exceeds 250000 variables.  The
     returned plan is a basic (vertex) solution, hence sparse.
     """
-    if p <= 1:
-        raise TransportError("p must exceed 1")
+    _check_p(p)
     n, m = len(source), len(target)
     if n * m > EXACT_SIZE_LIMIT:
         raise InstanceTooLarge(f"{n} x {m} exceeds the {EXACT_SIZE_LIMIT}-variable guard")
@@ -95,8 +94,7 @@ def wasserstein_1d(u_positions, u_weights, v_positions, v_weights, p: float = 2.
     Merges the cumulative-mass breakpoints of both measures and integrates
     |F_u^{-1} - F_v^{-1}|^p over the unit mass interval segment by segment.
     """
-    if p <= 1:
-        raise TransportError("p must exceed 1")
+    _check_p(p)
     u_pos = np.asarray(u_positions, dtype=float).ravel()
     u_w = np.asarray(u_weights, dtype=float).ravel()
     v_pos = np.asarray(v_positions, dtype=float).ravel()
@@ -149,8 +147,7 @@ def sinkhorn(
     ``return_trace=True`` a third element lists the error after each
     iteration.
     """
-    if p <= 1:
-        raise TransportError("p must exceed 1")
+    _check_p(p)
     if lam <= 0:
         raise TransportError("lam must be positive")
     costs = _pairwise_pth_costs(source, target, p)

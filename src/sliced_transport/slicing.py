@@ -4,10 +4,10 @@ Projecting a discrete measure onto a direction theta groups atoms whose
 projections coincide (up to a tolerance) into equivalence classes: the
 projected measure lives on the class values, each class carrying the summed
 mass of its members.  Between two projected measures the optimal plan for
-any strictly convex cost is the unique monotone coupling, computed by a
-north-west-corner sweep over the sorted classes: two cursors walk the class
-lists from left to right, at each step shipping the smaller of the two
-remaining masses and advancing whichever side was exhausted.
+any strictly convex cost is the unique monotone coupling.  It is read off
+the merged cumulative class masses of the two sides: every cumulative mass
+is a cut, and the mass between two consecutive cuts ships from the source
+class to the target class that both contain it.
 
 Grouping tolerance is relative: a tolerance ``g`` merges sorted projections
 that stay within ``g * max(1, max|theta . x|)`` of the running class
@@ -17,6 +17,7 @@ exactly equal projections only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,12 @@ from .errors import (
     NonUnitDirection,
     TransportError,
 )
-from .measures import DiscreteMeasure, _readonly
+from .measures import DiscreteMeasure, _check_p, _readonly
 
 # Direction vectors must be unit length within this tolerance.
 UNIT_TOL = 1e-12
-# Residual masses below this are clamped to zero during the sweep, which
-# keeps tiny negative leftovers from float cancellation out of the plan.
+# Cuts of opposite sides closer than this coincide, which keeps slivers of
+# float cancellation out of the plan.
 RESIDUAL_CLAMP = 1e-15
 # Totals of the two projected measures may differ by at most this much.
 MASS_BALANCE_TOL = 1e-9
@@ -77,18 +78,18 @@ class ProjectedMeasure:
             raise DimensionMismatch("projected measure arrays disagree on shape")
         if k == 0:
             raise TransportError("projected measure needs at least one class")
-        if np.any(np.diff(values) <= 0):
+        if (values[1:] <= values[:-1]).any():
             raise TransportError("class values must be strictly increasing")
-        if not np.all(masses > 0):
+        if not (masses > 0).all():
             raise TransportError("class masses must be strictly positive")
         if abs(float(masses.sum()) - 1.0) > MASS_BALANCE_TOL:
             raise MassImbalance("class masses must sum to 1 within 1e-9")
-        if starts[0] != 0 or starts[-1] != n or np.any(np.diff(starts) < 1):
+        if starts[0] != 0 or starts[-1] != n or (starts[1:] <= starts[:-1]).any():
             raise TransportError("class offsets must partition the member list")
-        if np.any(np.bincount(members, minlength=n) != 1):
+        if (np.bincount(members, minlength=n) != 1).any():
             raise TransportError("each atom index must appear in exactly one class")
         sums = np.add.reduceat(mweights, starts[:-1])
-        if float(np.max(np.abs(sums - masses))) > 1e-12:
+        if float(np.abs(sums - masses).max()) > 1e-12:
             raise MassImbalance("member weights must sum to the class mass within 1e-12")
         for name, arr in (
             ("class_values", values),
@@ -160,8 +161,8 @@ def _check_direction(direction, dim: int) -> np.ndarray:
         raise DimensionMismatch(
             f"direction has dimension {theta.shape[0]}, measure has {dim}"
         )
-    norm = float(np.linalg.norm(theta))
-    if abs(norm - 1.0) > UNIT_TOL:
+    norm = math.sqrt(theta @ theta)
+    if not abs(norm - 1.0) <= UNIT_TOL:
         raise NonUnitDirection(f"direction norm {norm!r} is not 1 within {UNIT_TOL}")
     return theta
 
@@ -178,17 +179,15 @@ def project(
     by more than the effective tolerance ``grouping_tol * max(1, max|proj|)``.
     """
     theta = _check_direction(direction, measure.dim)
-    if grouping_tol < 0:
-        raise TransportError("grouping tolerance must be nonnegative")
+    if not grouping_tol >= 0:
+        raise TransportError(f"grouping_tol must be nonnegative, got {grouping_tol!r}")
     proj = measure.atoms @ theta
     order = np.argsort(proj, kind="stable")
     values = proj[order]
     weights = measure.weights[order]
     n = values.shape[0]
-    scale = max(1.0, float(np.max(np.abs(values))))
-    tol = grouping_tol * scale
-    diffs = np.diff(values)
-    if np.all(diffs > tol):
+    tol = grouping_tol * max(1.0, -float(values[0]), float(values[-1]))
+    if (values[1:] - values[:-1] > tol).all():
         # Generic case: every projection is its own class.
         starts = np.arange(n + 1, dtype=np.int64)
         class_values = values
@@ -206,60 +205,61 @@ def project(
     return ProjectedMeasure(class_values, class_masses, order, starts, weights)
 
 
+def _monotone(ms: np.ndarray, mt: np.ndarray):
+    """Class indices and masses ``(a, b, mass)`` of the monotone coupling.
+
+    The cumulative masses of both sides, merged, cut the mass interval into
+    entries; cuts of opposite sides within RESIDUAL_CLAMP coincide.  An
+    entry ships the gap between its cuts, or the exact class mass when it
+    carries a whole class, as a north-west-corner sweep would.
+    """
+    cs, ct = np.cumsum(ms), np.cumsum(mt)
+    # The end of the shorter side sorts first among equal values, so the
+    # cuts before it are exactly those inside the shipped interval.
+    cuts = np.concatenate(([min(cs[-1], ct[-1])], cs[:-1], ct[:-1]))
+    order = np.argsort(cuts, kind="stable")
+    count = int(order.argmin())
+    order = order[: count + 1]
+    level = cuts[order]
+    on_target = order >= cs.shape[0]
+    opens = np.ones(count + 1, dtype=bool)
+    opens[1:] = (level[1:] - level[:-1] >= RESIDUAL_CLAMP) | (on_target[1:] == on_target[:-1])
+    opens[count] = True
+    at = np.flatnonzero(opens)
+    b = (np.cumsum(on_target) - on_target)[at]
+    a = at - b
+    gaps = level[at]
+    gaps[1:] -= level[at[:-1]]
+    # A class is whole in its only entry, unless that is the last entry and
+    # the other side ends first.
+    whole_a = np.bincount(a)[a] == 1
+    whole_b = np.bincount(b)[b] == 1
+    whole_a[-1] &= cs[-1] <= ct[-1]
+    whole_b[-1] &= ct[-1] <= cs[-1]
+    ma, mb = ms[a], mt[b]
+    mass = np.where(whole_a, np.where(whole_b, np.minimum(ma, mb), ma), np.where(whole_b, mb, gaps))
+    keep = mass > 0
+    return a[keep], b[keep], mass[keep]
+
+
 def solve_1d(source: ProjectedMeasure, target: ProjectedMeasure) -> OneDPlan:
     """Unique monotone coupling between two projected measures.
 
-    North-west-corner sweep: ship ``min(residual_source, residual_target)``
-    and advance the exhausted side.  Residuals below 1e-15 are clamped to
-    zero.  Raises MassImbalance when the totals differ by more than 1e-9.
+    Ships mass between the merged cumulative class masses of the two sides;
+    cuts closer than 1e-15 coincide.  Raises MassImbalance when the totals
+    differ by more than 1e-9.
     """
     ms = source.class_masses
     mt = target.class_masses
     if abs(float(ms.sum()) - float(mt.sum())) > MASS_BALANCE_TOL:
         raise MassImbalance("projected measures carry different total mass")
-    if ms.shape == mt.shape and np.array_equal(ms, mt):
-        # Equal bins ship one-to-one; identical to what the sweep returns.
-        idx = np.arange(ms.shape[0])
-        return OneDPlan(idx, idx, ms.copy())
-    k1, k2 = ms.shape[0], mt.shape[0]
-    ia: list[int] = []
-    ib: list[int] = []
-    shipped: list[float] = []
-    a = b = 0
-    ra = float(ms[0])
-    rb = float(mt[0])
-    while a < k1 and b < k2:
-        ship = ra if ra < rb else rb
-        if ship > 0.0:
-            ia.append(a)
-            ib.append(b)
-            shipped.append(ship)
-        ra -= ship
-        rb -= ship
-        if ra < RESIDUAL_CLAMP:
-            ra = 0.0
-        if rb < RESIDUAL_CLAMP:
-            rb = 0.0
-        if ra == 0.0:
-            a += 1
-            if a < k1:
-                ra = float(ms[a])
-        if rb == 0.0:
-            b += 1
-            if b < k2:
-                rb = float(mt[b])
-    return OneDPlan(
-        np.asarray(ia, dtype=np.int64),
-        np.asarray(ib, dtype=np.int64),
-        np.asarray(shipped, dtype=float),
-    )
+    return OneDPlan(*_monotone(ms, mt))
 
 
 def one_d_cost(source: ProjectedMeasure, target: ProjectedMeasure,
                plan: OneDPlan, p: float = 2.0) -> float:
     """Cost of a one-dimensional plan on the projected class values."""
-    if p <= 1:
-        raise TransportError("p must exceed 1")
+    _check_p(p)
     gaps = np.abs(source.class_values[plan.a] - target.class_values[plan.b])
     return float(np.sum(plan.mass * gaps**p)) ** (1.0 / p)
 

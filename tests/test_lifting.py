@@ -14,7 +14,8 @@ from sliced_transport import (
     solve_1d,
     validate_coupling,
 )
-from util import random_pair, worked_example
+from sliced_transport.slicing import DEFAULT_GROUPING_TOL
+from util import dense, lift_by_entry, northwest_corner, random_pair, worked_example
 
 
 def test_lift_worked_example_split():
@@ -95,3 +96,65 @@ def test_lift_p_changes_cost_not_plan():
     np.testing.assert_array_equal(plan2.j, plan3.j)
     np.testing.assert_array_equal(plan2.mass, plan3.mass)
     assert cost2 != cost3
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against the loops they replaced
+
+E1 = np.array([1.0, 0.0])
+
+
+def _adversarial_pair(regime: str, seed: int):
+    """A measure pair and a direction that stress one grouping regime."""
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(2, 40, size=2))
+
+    def plain(k):
+        w = rng.random(k) + 0.05
+        return w / w.sum()
+
+    if regime == "exact-ties":
+        xs, ys = (rng.integers(0, 4, size=(k, 2)).astype(float) for k in (n, m))
+        ws, wt, theta = plain(n), plain(m), E1
+    elif regime == "near-ties":
+        # Offsets of 0.5 and 1.5 effective tolerances (max |projection| is
+        # 4.5) straddle the grouping tolerance.
+        steps = np.array([-1.5, -0.5, 0.0, 0.5, 1.5]) * DEFAULT_GROUPING_TOL * 4.5
+        xs, ys = (
+            np.c_[rng.integers(0, 4, k) + rng.choice(steps, k), rng.standard_normal(k)]
+            for k in (n, m)
+        )
+        ws, wt, theta = plain(n), plain(m), E1
+    elif regime == "duplicates":
+        pool = rng.standard_normal((5, 2))
+        xs, ys = pool[rng.integers(0, 5, n)], pool[rng.integers(0, 5, m)]
+        ws, wt, theta = plain(n), plain(m), sample_sphere(1, 2, seed)[0]
+    else:  # pareto: heavy-tailed weights on a coarse grid
+        xs, ys = (rng.integers(0, 3, size=(k, 2)).astype(float) for k in (n, m))
+        ws, wt = ((lambda w: w / w.sum())(rng.pareto(0.3, k) + 1e-12) for k in (n, m))
+        theta = E1
+    return make_measure(xs, ws), make_measure(ys, wt), theta
+
+
+@pytest.mark.parametrize("regime", ["exact-ties", "near-ties", "duplicates", "pareto"])
+def test_kernels_match_the_reference_loops(regime):
+    eps = np.finfo(float).eps
+    grouped = floored = 0
+    for seed in range(30):
+        mu, nu, theta = _adversarial_pair(regime, seed)
+        tol = 16 * (len(mu) + len(nu)) * eps
+        ps, pt = project(mu, theta), project(nu, theta)
+        grouped += ps.n_classes < len(mu) or pt.n_classes < len(nu)
+        shape = (ps.n_classes, pt.n_classes)
+        plan1d = solve_1d(ps, pt)
+        got = dense(plan1d.a, plan1d.b, plan1d.mass, shape)
+        want = dense(*northwest_corner(ps.class_masses, pt.class_masses), shape)
+        assert np.abs(got - want).max() <= tol, (regime, seed)
+        plan = lift(mu, nu, ps, pt, plan1d)
+        got = dense(plan.i, plan.j, plan.mass, (len(mu), len(nu)))
+        want = dense(*lift_by_entry(ps, pt, plan1d), (len(mu), len(nu)))
+        assert np.abs(got - want).max() <= tol, (regime, seed)
+        pairs = np.diff(ps.class_starts)[plan1d.a] * np.diff(pt.class_starts)[plan1d.b]
+        floored += len(plan) < pairs.sum()
+    assert grouped > 0
+    assert floored > 0 or regime != "pareto"  # the mass floor drops entries

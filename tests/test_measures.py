@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from sliced_transport import (
     DimensionMismatch,
+    DiscreteMeasure,
     IndexOutOfRange,
+    NonFiniteAtoms,
     NonPositiveTotalMass,
     TransportError,
     TransportPlan,
@@ -69,6 +71,14 @@ def test_make_measure_duplicate_atoms_stay_distinct():
 def test_make_measure_rejects_ragged_atoms():
     with pytest.raises(DimensionMismatch):
         make_measure([(0.0, 1.0), (2.0,)], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measures_reject_non_finite_atoms(bad):
+    with pytest.raises(NonFiniteAtoms):
+        DiscreteMeasure(np.array([[0.0, 1.0], [bad, 2.0]]), np.array([0.5, 0.5]))
+    with pytest.raises(NonFiniteAtoms):
+        make_measure([(0.0, 1.0), (2.0, bad)], [0.5, 0.5])
 
 
 def test_make_measure_rejects_length_mismatch():

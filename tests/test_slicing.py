@@ -65,6 +65,12 @@ def test_project_rejects_non_unit_direction():
         project(m, np.array([1.0, 1.0]))
 
 
+def test_project_rejects_nan_direction():
+    m = make_measure([(0.0, 0.0)], [1.0])
+    with pytest.raises(NonUnitDirection):
+        project(m, np.array([np.nan, 1.0]))
+
+
 def test_project_rejects_dimension_mismatch():
     m = make_measure([(0.0, 0.0)], [1.0])
     with pytest.raises(TransportError):

@@ -55,3 +55,63 @@ def worked_example():
     tgt = make_measure([(2.0, 0.0), (3.0, 1.0), (3.0, -1.0)], [0.5, 0.3, 0.2])
     theta = np.array([1.0, 0.0])
     return src, tgt, theta
+
+
+def northwest_corner(ms, mt, clamp: float = 1e-15):
+    """Reference monotone coupling of two class-mass vectors, by a sweep.
+
+    Two cursors walk the classes left to right, ship the smaller of the two
+    remaining masses and advance the exhausted side; residuals below
+    ``clamp`` count as exhausted.  Returns ``(a, b, mass)`` arrays.
+    """
+    ia, ib, shipped = [], [], []
+    a = b = 0
+    ra, rb = float(ms[0]), float(mt[0])
+    while a < len(ms) and b < len(mt):
+        ship = min(ra, rb)
+        if ship > 0.0:
+            ia.append(a)
+            ib.append(b)
+            shipped.append(ship)
+        ra = ra - ship if ra - ship >= clamp else 0.0
+        rb = rb - ship if rb - ship >= clamp else 0.0
+        if ra == 0.0:
+            a += 1
+            ra = float(ms[a]) if a < len(ms) else 0.0
+        if rb == 0.0:
+            b += 1
+            rb = float(mt[b]) if b < len(mt) else 0.0
+    return np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64), np.array(shipped)
+
+
+def lift_by_entry(proj_source, proj_target, plan1d, floor: float = 1e-15):
+    """Reference lift, one 1D entry at a time.
+
+    Spreads each entry over the outer product of its two classes' member
+    weights, drops lifted masses below ``floor`` when some survive, and
+    rescales the survivors to the entry's total.  Returns ``(i, j, mass)``.
+    """
+    parts_i, parts_j, parts_m = [], [], []
+    for a, b, m in zip(plan1d.a, plan1d.b, plan1d.mass):
+        si, sw = proj_source.class_members(int(a))
+        ti, tw = proj_target.class_members(int(b))
+        denom = float(proj_source.class_masses[a]) * float(proj_target.class_masses[b])
+        flat = (float(m) / denom) * np.outer(sw, tw).ravel()
+        ii = np.repeat(si, ti.shape[0])
+        jj = np.tile(ti, si.shape[0])
+        keep = flat >= floor
+        if keep.any() and not keep.all():
+            total = float(flat.sum())
+            flat = flat[keep] * (total / float(flat[keep].sum()))
+            ii, jj = ii[keep], jj[keep]
+        parts_i.append(ii)
+        parts_j.append(jj)
+        parts_m.append(flat)
+    return np.concatenate(parts_i), np.concatenate(parts_j), np.concatenate(parts_m)
+
+
+def dense(i, j, mass, shape) -> np.ndarray:
+    """Sparse entries summed into a dense matrix."""
+    out = np.zeros(shape)
+    np.add.at(out, (i, j), mass)
+    return out
