@@ -86,8 +86,12 @@ def barycentric_projection(
     construction, so the division is always defined.
     """
     _require_coupling(plan, reference, target)
-    out = np.zeros((len(reference), reference.dim))
-    np.add.at(out, plan.i, plan.mass[:, None] * target.atoms[plan.j])
+    # One bincount per coordinate adds in entry order, as np.add.at would,
+    # without an (entries, d) temporary.
+    out = np.empty((len(reference), reference.dim))
+    for k in range(reference.dim):
+        out[:, k] = np.bincount(plan.i, weights=plan.mass * target.atoms[plan.j, k],
+                                minlength=len(reference))
     return out / reference.weights[:, None]
 
 

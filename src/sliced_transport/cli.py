@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 2 unreadable/unparsable input, 3 dimension mismatch between the
+Exit codes: 2 unreadable/unparsable input or input a solver rejects (any
+TransportError a command does not handle), 3 dimension mismatch between the
 two measures, 4 unwritable output location, 5 unknown experiment name.
 Given the same inputs, options, and seed the outputs are byte-identical
 across runs.
@@ -160,7 +161,17 @@ def _cfg(p, slices, tau, seed, grouping_tol, fmt) -> RunConfig:
     return RunConfig(p=p, slices=slices, tau=tau, seed=seed, grouping_tol=grouping_tol, fmt=fmt)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; a TransportError escaping a command exits 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except TransportError as exc:
+            _fail(EXIT_PARSE, str(exc))
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Sliced transport plans and distances for discrete measures."""
 

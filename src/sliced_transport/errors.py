@@ -42,7 +42,7 @@ class ClassMismatch(TransportError):
 
 
 class InstanceTooLarge(TransportError):
-    """The instance exceeds the exact solver's size guard."""
+    """The instance exceeds a solver's size limit."""
 
 
 class InvalidT(TransportError):

@@ -13,6 +13,15 @@ which interpolates between the uniform average (tau = 0) and the single
 cheapest direction (tau -> infinity).  All three entry points run one loop
 that differs only in how the slices are weighted.
 
+The loop takes the directions in chunks (``lifting._chunks``): one
+projection product and one row-wise sort per side for the whole chunk,
+then the 1D solve, the lift and the cost of all its slices in one pass.
+The chunk size follows from a working-set budget, ``lifting.CHUNK_ATOMS``
+atoms per chunk (``CHUNK_ATOMS // (n + m)`` slices, at least one).
+Results do not depend on it: projections are summed over the coordinates
+in a fixed order, every other step works within one slice's row, and each
+slice's cost sums its own entries.
+
 Aggregation is a deterministic fold: contributions are merged on (i, j)
 keys in slice order, then summed left to right per key, so results are
 reproducible bit for bit.
@@ -24,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TransportError
-from .lifting import _check_pair, _slice
+from .errors import DimensionMismatch, InstanceTooLarge, TransportError
+from .lifting import _check_pair, _chunks
 from .measures import DiscreteMeasure, TransportPlan, _readonly
-from .slicing import DEFAULT_GROUPING_TOL, UNIT_TOL
+from .slicing import DEFAULT_GROUPING_TOL, UNIT_TOL, _check_directions, _check_tol
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -83,29 +92,51 @@ class EstResult:
 def _run(source, target, directions, p, grouping_tol, weigh):
     """Lift along every direction and merge the slices under ``weigh(costs)``.
 
-    Checks the inputs once (``project`` checks ``grouping_tol`` on the first
-    slice).  Returns the merged plan, the per-slice costs and the slice
-    weights; slices of weight 0 add nothing to the plan.
+    Checks the inputs once.  Returns the merged plan, the per-slice costs
+    and the slice weights; slices of weight 0 add nothing to the plan.
     """
-    directions = np.asarray(directions, dtype=float)
     _check_pair(source, target, p)
-    if directions.ndim != 2 or directions.shape[0] < 1:
-        raise DimensionMismatch("directions must form a nonempty (L, d) array")
-    if directions.shape[1] != source.dim:
-        raise DimensionMismatch("slice directions do not match the measure dimension")
-    size = len(target)
-    keys, masses = [], []
-    costs = np.empty(directions.shape[0])
-    for k, theta in enumerate(directions):
-        i, j, mass, costs[k] = _slice(source, target, theta, p, grouping_tol)
-        keys.append(i * size + j)
-        masses.append(mass)
+    directions = _check_directions(directions, source.dim)
+    _check_tol(grouping_tol)
+    count, size = directions.shape[0], len(target)
+    if len(source) * size * count > np.iinfo(np.int64).max:
+        raise InstanceTooLarge("n * m * L exceeds the int64 range of the merge keys")
+    costs = np.empty(count)
+    blocks = []
+    for slices, bounds, i, j, mass, block_costs in _chunks(
+        source, target, directions, p, grouping_tol
+    ):
+        costs[slices] = block_costs
+        # Keys (i, j, slice) are unique, so a plain sort orders every
+        # (i, j) run by slice, as a stable sort of (i, j) in slice order would.
+        key = i * size + j
+        key *= count
+        key += np.repeat(slices, np.diff(bounds))
+        blocks.append((slices, bounds, key, mass))
     weights = weigh(costs)
-    used = [k for k in range(len(keys)) if weights[k] != 0.0]
-    key = np.concatenate([keys[k] for k in used])
-    mass = np.concatenate([float(weights[k]) * masses[k] for k in used])
-    order = np.argsort(key, kind="stable")
-    key, mass = key[order], mass[order]
+    # Each full-size array is dropped once merged, so at most three arrays
+    # of all entries are alive at a time.
+    keys, masses, scales = [], [], []
+    for slices, bounds, key, mass in blocks:
+        for k, lo, hi in zip(slices, bounds[:-1], bounds[1:]):
+            if weights[k] != 0.0:
+                keys.append(key[lo:hi])
+                masses.append(mass[lo:hi])
+                scales.append(weights[k])
+    del blocks
+    key = np.concatenate(keys)
+    del keys
+    mass = np.concatenate(masses)
+    at = 0
+    for part, scale in zip(masses, scales):
+        mass[at : at + part.shape[0]] *= scale
+        at += part.shape[0]
+    del masses
+    order = np.argsort(key)
+    key = key[order]
+    mass = mass[order]
+    del order
+    key //= count
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     key = key[starts]
     plan = TransportPlan(len(source), size, key // size, key % size,

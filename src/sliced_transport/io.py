@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,9 @@ import numpy as np
 from .applications import EmbeddingMatrix
 from .errors import TransportError
 from .measures import DiscreteMeasure, TransportPlan, make_measure
+
+# Plan rows formatted per write.
+PLAN_CSV_ROWS = 32768
 
 
 def _fmt(x: float) -> str:
@@ -113,11 +117,20 @@ def write_measure(measure: DiscreteMeasure, path, fmt: str | None = None) -> Non
 
 
 def write_plan_csv(plan: TransportPlan, path) -> None:
+    """Write ``i,j,mass`` rows, the bytes ``csv.writer`` would write.
+
+    Rows go out PLAN_CSV_ROWS at a time, so only one block of entries is
+    held as Python objects.
+    """
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "mass"])
-        for i, j, mass in zip(plan.i, plan.j, plan.mass):
-            writer.writerow([int(i), int(j), _fmt(mass)])
+        fh.write("i,j,mass\r\n")
+        for lo in range(0, len(plan), PLAN_CSV_ROWS):
+            rows = slice(lo, lo + PLAN_CSV_ROWS)
+            fields = tuple(chain.from_iterable(zip(
+                plan.i[rows].tolist(), plan.j[rows].tolist(), plan.mass[rows].tolist()
+            )))
+            # One %-format over the block; %.17g is format(x, ".17g").
+            fh.write(("%d,%d,%.17g\r\n" * (len(fields) // 3)) % fields)
 
 
 def read_plan_csv(path, source_size: int | None = None, target_size: int | None = None) -> TransportPlan:

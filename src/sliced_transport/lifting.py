@@ -15,13 +15,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ClassMismatch, DimensionMismatch, MassImbalance
-from .measures import DiscreteMeasure, TransportPlan, _check_p, _plan_cost
+from .measures import DiscreteMeasure, TransportPlan, _check_p, _plan_costs
 from .slicing import (
     DEFAULT_GROUPING_TOL,
     MASS_BALANCE_TOL,
     OneDPlan,
     ProjectedMeasure,
+    _check_directions,
+    _check_tol,
     _monotone,
+    _sort_rows,
     project,
 )
 
@@ -29,6 +32,10 @@ from .slicing import (
 # proportionally to the surviving entries of the same 1D entry so the
 # per-class-pair totals (and hence the marginals) are preserved.
 MASS_FLOOR = 1e-15
+# Working-set budget of the slice engine: a chunk takes this many atoms
+# divided by n + m slices, at least one.  Every slice is computed on its
+# own row, so results do not depend on it.
+CHUNK_ATOMS = 8192
 
 
 def _check_pair(source: DiscreteMeasure, target: DiscreteMeasure, p: float) -> None:
@@ -39,23 +46,36 @@ def _check_pair(source: DiscreteMeasure, target: DiscreteMeasure, p: float) -> N
     _check_p(p)
 
 
-def _spread(ps: ProjectedMeasure, pt: ProjectedMeasure, a, b, m):
+def _layout(proj: ProjectedMeasure):
+    return proj.member_indices, proj.class_starts, proj.member_weights, proj.class_masses
+
+
+def _spread(a, b, m, source, target):
     """Lifted entries ``(i, j, mass)`` of the 1D entries ``(a, b, m)``.
 
-    Each class pair expands row-major over its members; entries below
-    MASS_FLOOR are dropped and their mass re-added within the 1D entry.
+    Each side is a class layout ``(members, starts, weights, masses)``:
+    class a owns ``members[starts[a]:starts[a + 1]]``, whose weights sum to
+    ``masses[a]``.  Each class pair expands row-major over its members;
+    entries below MASS_FLOOR are dropped and their mass re-added within the
+    1D entry.  ``starts`` None on both sides means every class is the one
+    atom ``members[a]``; the expansion would then give each entry back
+    unchanged (w / w is exactly 1), so it is skipped.
     """
-    sa, sb = ps.class_starts[a], pt.class_starts[b]
-    cols = pt.class_starts[b + 1] - sb
-    sizes = (ps.class_starts[a + 1] - sa) * cols
+    members_s, starts_s, weights_s, masses_s = source
+    members_t, starts_t, weights_t, masses_t = target
+    if starts_s is None and starts_t is None:
+        return members_s[a], members_t[b], m
+    sa, sb = starts_s[a], starts_t[b]
+    cols = starts_t[b + 1] - sb
+    sizes = (starts_s[a + 1] - sa) * cols
     entry = np.repeat(np.arange(a.shape[0]), sizes)
     offset = np.arange(entry.shape[0]) - (np.cumsum(sizes) - sizes)[entry]
     si = sa[entry] + offset // cols[entry]
     tj = sb[entry] + offset % cols[entry]
     mass = (
         m[entry]
-        * (ps.member_weights[si] / ps.class_masses[a][entry])
-        * (pt.member_weights[tj] / pt.class_masses[b][entry])
+        * (weights_s[si] / masses_s[a][entry])
+        * (weights_t[tj] / masses_t[b][entry])
     )
     low = mass < MASS_FLOOR
     if low.any():
@@ -64,16 +84,45 @@ def _spread(ps: ProjectedMeasure, pt: ProjectedMeasure, a, b, m):
         keep = ~low | (np.bincount(entry, weights=~low)[entry] == 0)
         scale = np.bincount(entry, weights=mass) / np.bincount(entry[keep], weights=mass[keep])
         si, tj, mass = si[keep], tj[keep], mass[keep] * scale[entry[keep]]
-    return ps.member_indices[si], pt.member_indices[tj], mass
+    return members_s[si], members_t[tj], mass
 
 
-def _slice(source: DiscreteMeasure, target: DiscreteMeasure, direction, p: float,
-           grouping_tol: float):
-    """Raw lifted plan ``(i, j, mass)`` and its cost along one direction."""
-    ps = project(source, direction, grouping_tol)
-    pt = project(target, direction, grouping_tol)
-    i, j, mass = _spread(ps, pt, *_monotone(ps.class_masses, pt.class_masses))
-    return i, j, mass, _plan_cost(source.atoms, target.atoms, i, j, mass, p)
+def _chunks(source: DiscreteMeasure, target: DiscreteMeasure, directions: np.ndarray,
+            p: float, grouping_tol: float):
+    """Lifted plans and costs along checked directions, a block at a time.
+
+    Yields ``(slices, bounds, i, j, mass, costs)``: entries
+    ``bounds[k]:bounds[k + 1]`` are the lifted plan of slice ``slices[k]``
+    and ``costs[k]`` its cost.  A chunk of directions is projected and
+    sorted with one product and one row-wise sort per side.  Its slices
+    whose sorted gaps all exceed the grouping tolerance are solved and
+    lifted together; every other slice takes its classes from ``project``
+    and goes through the same kernels alone.
+    """
+    n, m = len(source), len(target)
+    step = max(1, CHUNK_ATOMS // (n + m))
+    for lo in range(0, directions.shape[0], step):
+        chunk = directions[lo : lo + step]
+        order_s, _, _, single_s = _sort_rows(source.atoms, chunk, grouping_tol)
+        order_t, _, _, single_t = _sort_rows(target.atoms, chunk, grouping_tol)
+        single = single_s & single_t
+        rows = np.flatnonzero(single)
+        if rows.size:
+            order_s, order_t = order_s[rows], order_t[rows]
+            r, a, b, mass = _monotone(source.weights[order_s], target.weights[order_t])
+            i, j, mass = _spread(r * n + a, r * m + b, mass, (order_s.ravel(), None, None, None),
+                                 (order_t.ravel(), None, None, None))
+            bounds = np.searchsorted(r, np.arange(rows.size + 1))
+            costs = _plan_costs(source.atoms, target.atoms, i, j, mass, p, bounds)
+            yield lo + rows, bounds, i, j, mass, costs
+        for row in np.flatnonzero(~single):
+            ps = project(source, chunk[row], grouping_tol)
+            pt = project(target, chunk[row], grouping_tol)
+            _, a, b, mass = _monotone(ps.class_masses[None], pt.class_masses[None])
+            i, j, mass = _spread(a, b, mass, _layout(ps), _layout(pt))
+            bounds = np.array([0, i.shape[0]])
+            costs = _plan_costs(source.atoms, target.atoms, i, j, mass, p, bounds)
+            yield np.array([lo + row]), bounds, i, j, mass, costs
 
 
 def _check_projection(measure: DiscreteMeasure, proj: ProjectedMeasure, side: str) -> None:
@@ -98,7 +147,8 @@ def lift(
         raise ClassMismatch("1D plan references a missing source class")
     if int(plan1d.b.max()) >= proj_target.n_classes or int(plan1d.b.min()) < 0:
         raise ClassMismatch("1D plan references a missing target class")
-    i, j, mass = _spread(proj_source, proj_target, plan1d.a, plan1d.b, plan1d.mass)
+    i, j, mass = _spread(plan1d.a, plan1d.b, plan1d.mass, _layout(proj_source),
+                         _layout(proj_target))
     return TransportPlan(len(source), len(target), i, j, mass)
 
 
@@ -116,5 +166,7 @@ def lift_for_direction(
     sliced distance.
     """
     _check_pair(source, target, p)
-    i, j, mass, cost = _slice(source, target, direction, p, grouping_tol)
-    return TransportPlan(len(source), len(target), i, j, mass), cost
+    _check_tol(grouping_tol)
+    directions = _check_directions(np.asarray(direction, dtype=float).reshape(1, -1), source.dim)
+    ((_, _, i, j, mass, costs),) = _chunks(source, target, directions, p, grouping_tol)
+    return TransportPlan(len(source), len(target), i, j, mass), float(costs[0])

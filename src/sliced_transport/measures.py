@@ -143,22 +143,25 @@ class TransportPlan:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        i = np.array(self.i, dtype=np.int64).ravel()
-        j = np.array(self.j, dtype=np.int64).ravel()
-        mass = np.array(self.mass, dtype=float).ravel()
+        i = np.asarray(self.i, dtype=np.int64).ravel()
+        j = np.asarray(self.j, dtype=np.int64).ravel()
+        mass = np.asarray(self.mass, dtype=float).ravel()
         if not (i.shape == j.shape == mass.shape):
             raise DimensionMismatch("plan entry arrays must share one length")
         if i.size == 0:
             raise TransportError("a transport plan needs at least one entry")
         if self.source_size < 1 or self.target_size < 1:
             raise IndexOutOfRange("plan sizes must be positive")
+        if int(self.source_size) * int(self.target_size) > np.iinfo(np.int64).max:
+            raise IndexOutOfRange("plan sizes exceed the int64 range of (i, j) keys")
         if i.min() < 0 or i.max() >= self.source_size:
             raise IndexOutOfRange("source index outside [0, source_size)")
         if j.min() < 0 or j.max() >= self.target_size:
             raise IndexOutOfRange("target index outside [0, target_size)")
         if not np.all(mass > 0):
             raise TransportError("plan masses must be strictly positive")
-        order = np.lexsort((j, i))
+        # Fancy indexing copies, so the caller's arrays are never frozen.
+        order = np.argsort(i * self.target_size + j, kind="stable")
         i, j, mass = i[order], j[order], mass[order]
         dup = (i[1:] == i[:-1]) & (j[1:] == j[:-1])
         if np.any(dup):
@@ -197,14 +200,22 @@ def plan_cost(
         raise IndexOutOfRange("plan sizes do not match the given measures")
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimensions differ")
-    return _plan_cost(source.atoms, target.atoms, plan.i, plan.j, plan.mass, p)
+    bounds = (0, len(plan))
+    return float(_plan_costs(source.atoms, target.atoms, plan.i, plan.j, plan.mass, p, bounds)[0])
 
 
-def _plan_cost(x: np.ndarray, y: np.ndarray, i, j, mass, p: float) -> float:
+def _plan_costs(x: np.ndarray, y: np.ndarray, i, j, mass, p: float, bounds) -> np.ndarray:
+    """Costs of the plans held in the entry segments ``bounds[k]:bounds[k + 1]``.
+
+    Each cost sums its own segment with ``np.sum``, so it has the bits it
+    would have on its own.
+    """
     diffs = x[i] - y[j]
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    total = float(np.sum(mass * dists**p))
-    return max(total, 0.0) ** (1.0 / p)
+    terms = mass * dists**p
+    return np.array(
+        [max(float(np.sum(terms[s:e])), 0.0) ** (1.0 / p) for s, e in zip(bounds[:-1], bounds[1:])]
+    )
 
 
 def validate_coupling(

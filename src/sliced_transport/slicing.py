@@ -17,7 +17,6 @@ exactly equal projections only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,16 +154,52 @@ class OneDPlan:
         ]
 
 
-def _check_direction(direction, dim: int) -> np.ndarray:
-    theta = np.asarray(direction, dtype=float).ravel()
-    if theta.shape[0] != dim:
+def _check_directions(directions, dim: int) -> np.ndarray:
+    """An (L, dim) float array of unit directions, or a typed error."""
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[0] < 1:
+        raise DimensionMismatch("directions must form a nonempty (L, d) array")
+    if directions.shape[1] != dim:
         raise DimensionMismatch(
-            f"direction has dimension {theta.shape[0]}, measure has {dim}"
+            f"direction has dimension {directions.shape[1]}, measure has {dim}"
         )
-    norm = math.sqrt(theta @ theta)
-    if not abs(norm - 1.0) <= UNIT_TOL:
+    norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
+    bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)
+    if bad.any():
+        norm = float(norms[bad.argmax()])
         raise NonUnitDirection(f"direction norm {norm!r} is not 1 within {UNIT_TOL}")
-    return theta
+    return directions
+
+
+def _check_tol(grouping_tol: float) -> None:
+    if not grouping_tol >= 0:
+        raise TransportError(f"grouping_tol must be nonnegative, got {grouping_tol!r}")
+
+
+def _projections(atoms: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """The (L, n) products ``directions @ atoms.T``, summed over d left to right.
+
+    Elementwise products and sums give every entry the same bits whatever
+    the number of directions; a BLAS product does not promise that.
+    """
+    out = directions[:, :1] * atoms[:, 0]
+    for k in range(1, atoms.shape[1]):
+        out += directions[:, k : k + 1] * atoms[:, k]
+    return out
+
+
+def _sort_rows(atoms: np.ndarray, directions: np.ndarray, grouping_tol: float):
+    """Stable sort of the projections onto each direction, row by row.
+
+    Returns the sort orders and sorted values (L, n), each row's effective
+    grouping tolerance, and whether every gap of a row exceeds it, which
+    makes every projection of that row its own class.
+    """
+    proj = _projections(atoms, directions)
+    order = np.argsort(proj, axis=1, kind="stable")
+    values = np.take_along_axis(proj, order, axis=1)
+    tol = grouping_tol * np.maximum(np.maximum(1.0, -values[:, 0]), values[:, -1])
+    return order, values, tol, (values[:, 1:] - values[:, :-1] > tol[:, None]).all(axis=1)
 
 
 def project(
@@ -178,16 +213,13 @@ def project(
     new class opens whenever a value exceeds the running class representative
     by more than the effective tolerance ``grouping_tol * max(1, max|proj|)``.
     """
-    theta = _check_direction(direction, measure.dim)
-    if not grouping_tol >= 0:
-        raise TransportError(f"grouping_tol must be nonnegative, got {grouping_tol!r}")
-    proj = measure.atoms @ theta
-    order = np.argsort(proj, kind="stable")
-    values = proj[order]
+    theta = _check_directions(np.asarray(direction, dtype=float).reshape(1, -1), measure.dim)
+    _check_tol(grouping_tol)
+    orders, values, tols, single = _sort_rows(measure.atoms, theta, grouping_tol)
+    order, values, tol = orders[0], values[0], float(tols[0])
     weights = measure.weights[order]
     n = values.shape[0]
-    tol = grouping_tol * max(1.0, -float(values[0]), float(values[-1]))
-    if (values[1:] - values[:-1] > tol).all():
+    if single[0]:
         # Generic case: every projection is its own class.
         starts = np.arange(n + 1, dtype=np.int64)
         class_values = values
@@ -206,40 +238,52 @@ def project(
 
 
 def _monotone(ms: np.ndarray, mt: np.ndarray):
-    """Class indices and masses ``(a, b, mass)`` of the monotone coupling.
+    """Rows, class indices and masses ``(r, a, b, mass)`` of monotone couplings.
 
-    The cumulative masses of both sides, merged, cut the mass interval into
+    Row r of ``ms`` (c, K) and of ``mt`` (c, K') holds the class masses of
+    one pair of projected measures; the entries come out row by row.  The
+    cumulative masses of both sides, merged, cut the mass interval into
     entries; cuts of opposite sides within RESIDUAL_CLAMP coincide.  An
     entry ships the gap between its cuts, or the exact class mass when it
-    carries a whole class, as a north-west-corner sweep would.
+    carries a whole class, as a north-west-corner sweep would.  Every step
+    works within a row, so a row's entries do not depend on the others.
     """
-    cs, ct = np.cumsum(ms), np.cumsum(mt)
+    rows, k = ms.shape
+    cs, ct = np.cumsum(ms, axis=1), np.cumsum(mt, axis=1)
     # The end of the shorter side sorts first among equal values, so the
     # cuts before it are exactly those inside the shipped interval.
-    cuts = np.concatenate(([min(cs[-1], ct[-1])], cs[:-1], ct[:-1]))
-    order = np.argsort(cuts, kind="stable")
-    count = int(order.argmin())
-    order = order[: count + 1]
-    level = cuts[order]
-    on_target = order >= cs.shape[0]
-    opens = np.ones(count + 1, dtype=bool)
-    opens[1:] = (level[1:] - level[:-1] >= RESIDUAL_CLAMP) | (on_target[1:] == on_target[:-1])
-    opens[count] = True
-    at = np.flatnonzero(opens)
-    b = (np.cumsum(on_target) - on_target)[at]
+    source_ends = cs[:, -1] <= ct[:, -1]
+    ends = np.where(source_ends, cs[:, -1], ct[:, -1])
+    cuts = np.concatenate((ends[:, None], cs[:, :-1], ct[:, :-1]), axis=1)
+    width = cuts.shape[1]
+    order = np.argsort(cuts, axis=1, kind="stable")
+    count = order.argmin(axis=1)
+    level = np.take_along_axis(cuts, order, axis=1)
+    on_target = order >= k
+    opens = np.ones(cuts.shape, dtype=bool)
+    opens[:, 1:] = (level[:, 1:] - level[:, :-1] >= RESIDUAL_CLAMP) | (
+        on_target[:, 1:] == on_target[:, :-1]
+    )
+    opens[np.arange(rows), count] = True
+    opens &= np.arange(width) <= count[:, None]
+    flat = np.flatnonzero(opens)
+    r, at = np.divmod(flat, width)
+    b = (np.cumsum(on_target, axis=1) - on_target).ravel()[flat]
     a = at - b
-    gaps = level[at]
-    gaps[1:] -= level[at[:-1]]
-    # A class is whole in its only entry, unless that is the last entry and
-    # the other side ends first.
-    whole_a = np.bincount(a)[a] == 1
-    whole_b = np.bincount(b)[b] == 1
-    whole_a[-1] &= cs[-1] <= ct[-1]
-    whole_b[-1] &= ct[-1] <= cs[-1]
-    ma, mb = ms[a], mt[b]
+    gaps = level.ravel()[flat]
+    gaps[1:] -= np.where(at[1:] > 0, gaps[:-1], 0.0)
+    # A class is whole in its only entry, unless that is the last entry of
+    # its row and the other side ends first.
+    ga, gb = r * k + a, r * mt.shape[1] + b
+    whole_a = np.bincount(ga)[ga] == 1
+    whole_b = np.bincount(gb)[gb] == 1
+    last = np.flatnonzero(np.r_[r[1:] != r[:-1], True])
+    whole_a[last] &= source_ends
+    whole_b[last] &= ct[:, -1] <= cs[:, -1]
+    ma, mb = ms.ravel()[ga], mt.ravel()[gb]
     mass = np.where(whole_a, np.where(whole_b, np.minimum(ma, mb), ma), np.where(whole_b, mb, gaps))
     keep = mass > 0
-    return a[keep], b[keep], mass[keep]
+    return r[keep], a[keep], b[keep], mass[keep]
 
 
 def solve_1d(source: ProjectedMeasure, target: ProjectedMeasure) -> OneDPlan:
@@ -253,7 +297,7 @@ def solve_1d(source: ProjectedMeasure, target: ProjectedMeasure) -> OneDPlan:
     mt = target.class_masses
     if abs(float(ms.sum()) - float(mt.sum())) > MASS_BALANCE_TOL:
         raise MassImbalance("projected measures carry different total mass")
-    return OneDPlan(*_monotone(ms, mt))
+    return OneDPlan(*_monotone(ms[None], mt[None])[1:])
 
 
 def one_d_cost(source: ProjectedMeasure, target: ProjectedMeasure,

@@ -115,6 +115,15 @@ def test_barycentric_projection_splits_by_mass():
     assert bary[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
+def test_barycentric_projection_matches_add_at_bitwise():
+    mu, nu = random_pair(4, max_n=60, max_d=4)
+    plan = est_plan(mu, nu, SliceSet.uniform(sample_sphere(16, mu.dim, 2))).plan
+    want = np.zeros((len(mu), mu.dim))
+    np.add.at(want, plan.i, plan.mass[:, None] * nu.atoms[plan.j])
+    want /= mu.weights[:, None]
+    assert np.array_equal(barycentric_projection(plan, mu, nu), want)
+
+
 def test_lot_embed_self_is_zero():
     ref = reference_measure(size=12, dim=2, seed=1)
     emb = lot_embed(ref, ref, method="exact")

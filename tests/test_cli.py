@@ -165,6 +165,19 @@ def test_non_finite_atoms_exit_code(runner, tmp_path):
     assert "finite" in result.output
 
 
+def test_solver_errors_exit_2_with_a_message(runner, pair_files, tmp_path):
+    a, b, *_ = pair_files
+    result = runner.invoke(main, ["distance", a, b, "--method", "sinkhorn", "--lambda", "-1"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: lam must be positive")
+    big_a, big_b = tmp_path / "big_a.csv", tmp_path / "big_b.csv"
+    io.write_measure_csv(make_measure(np.arange(501.0), np.full(501, 1 / 501)), big_a)
+    io.write_measure_csv(make_measure(np.arange(500.0), np.full(500, 1 / 500)), big_b)
+    result = runner.invoke(main, ["distance", str(big_a), str(big_b), "--method", "exact"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: 501 x 500 exceeds")
+
+
 def test_unwritable_output_exit_code(runner, pair_files, tmp_path):
     a, b, *_ = pair_files
     blocker = tmp_path / "blocker"

@@ -20,7 +20,8 @@ from sliced_transport import (
     sigma_tau_weights,
     validate_coupling,
 )
-from util import random_pair, worked_example
+from sliced_transport import lifting
+from util import adversarial_pair, random_pair, worked_example
 
 
 def test_slice_set_uniform():
@@ -229,3 +230,26 @@ def test_min_swgg_picks_argmin():
     assert best == int(np.argmin(costs))
     assert cost == costs[best]
     assert validate_coupling(plan, mu, nu)[0]
+
+
+@pytest.mark.parametrize("regime", ["exact-ties", "near-ties", "duplicates", "pareto"])
+def test_outputs_do_not_depend_on_the_chunk_budget(regime, monkeypatch):
+    default = lifting.CHUNK_ATOMS
+    for seed in range(6):
+        mu, nu, theta = adversarial_pair(regime, seed)
+        dirs = np.vstack([sample_sphere(5, 2, seed), theta, sample_sphere(6, 2, seed + 1000)])
+        atoms = len(mu) + len(nu)
+        outputs = set()
+        # One slice per chunk; five, so theta (slice 5) shares its chunk
+        # with four random slices; the default; all L in one chunk.
+        for budget in (1, 5 * atoms, default, len(dirs) * atoms):
+            monkeypatch.setattr(lifting, "CHUNK_ATOMS", budget)
+            res = est_plan(mu, nu, SliceSet.uniform(dirs))
+            hot = est_plan_tempered(mu, nu, dirs, tau=5.0)
+            best, plan, cost = min_swgg(mu, nu, dirs)
+            arrays = (res.plan.i, res.plan.j, res.plan.mass, res.per_slice_costs,
+                      hot.plan.i, hot.plan.j, hot.plan.mass, hot.slice_weights,
+                      plan.i, plan.j, plan.mass)
+            outputs.add((b"".join(a.tobytes() for a in arrays), res.distance, hot.distance,
+                         best, cost))
+        assert len(outputs) == 1, (regime, seed)

@@ -1,11 +1,15 @@
 """Round-trip and rejection behavior of the file formats."""
 
+import csv
+from io import StringIO
+
 import numpy as np
 import pytest
 
 from sliced_transport import (
     EmbeddingMatrix,
     TransportError,
+    TransportPlan,
     io,
     make_measure,
     product_coupling,
@@ -101,6 +105,21 @@ def test_plan_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(plan.i, back.i)
     np.testing.assert_array_equal(plan.j, back.j)
     np.testing.assert_array_equal(plan.mass, back.mass)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 2])
+def test_plan_csv_bytes_match_csv_writer(tmp_path, monkeypatch, rows_per_block):
+    if rows_per_block is not None:
+        monkeypatch.setattr(io, "PLAN_CSV_ROWS", rows_per_block)
+    plan = TransportPlan(3, 4, [0, 1, 2, 2], [3, 0, 2, 3], [5e-324, 1e-300, 1 / 3, 0.1])
+    path = tmp_path / "plan.csv"
+    io.write_plan_csv(plan, path)
+    want = StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["i", "j", "mass"])
+    for i, j, m in zip(plan.i, plan.j, plan.mass):
+        writer.writerow([int(i), int(j), format(float(m), ".17g")])
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_plan_csv_sizes_default_to_max_index(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from sliced_transport import (
     ClassMismatch,
+    OneDPlan,
     lift,
     lift_for_direction,
     make_measure,
@@ -14,8 +15,16 @@ from sliced_transport import (
     solve_1d,
     validate_coupling,
 )
+from sliced_transport import lifting
 from sliced_transport.slicing import DEFAULT_GROUPING_TOL
-from util import dense, lift_by_entry, northwest_corner, random_pair, worked_example
+from util import (
+    adversarial_pair,
+    dense,
+    lift_by_entry,
+    northwest_corner,
+    random_pair,
+    worked_example,
+)
 
 
 def test_lift_worked_example_split():
@@ -101,48 +110,37 @@ def test_lift_p_changes_cost_not_plan():
 # ---------------------------------------------------------------------------
 # the array kernels against the loops they replaced
 
-E1 = np.array([1.0, 0.0])
 
-
-def _adversarial_pair(regime: str, seed: int):
-    """A measure pair and a direction that stress one grouping regime."""
-    rng = np.random.default_rng(seed)
-    n, m = (int(k) for k in rng.integers(2, 40, size=2))
-
-    def plain(k):
-        w = rng.random(k) + 0.05
-        return w / w.sum()
-
-    if regime == "exact-ties":
-        xs, ys = (rng.integers(0, 4, size=(k, 2)).astype(float) for k in (n, m))
-        ws, wt, theta = plain(n), plain(m), E1
-    elif regime == "near-ties":
-        # Offsets of 0.5 and 1.5 effective tolerances (max |projection| is
-        # 4.5) straddle the grouping tolerance.
-        steps = np.array([-1.5, -0.5, 0.0, 0.5, 1.5]) * DEFAULT_GROUPING_TOL * 4.5
-        xs, ys = (
-            np.c_[rng.integers(0, 4, k) + rng.choice(steps, k), rng.standard_normal(k)]
-            for k in (n, m)
-        )
-        ws, wt, theta = plain(n), plain(m), E1
-    elif regime == "duplicates":
-        pool = rng.standard_normal((5, 2))
-        xs, ys = pool[rng.integers(0, 5, n)], pool[rng.integers(0, 5, m)]
-        ws, wt, theta = plain(n), plain(m), sample_sphere(1, 2, seed)[0]
-    else:  # pareto: heavy-tailed weights on a coarse grid
-        xs, ys = (rng.integers(0, 3, size=(k, 2)).astype(float) for k in (n, m))
-        ws, wt = ((lambda w: w / w.sum())(rng.pareto(0.3, k) + 1e-12) for k in (n, m))
-        theta = E1
-    return make_measure(xs, ws), make_measure(ys, wt), theta
+def _reference_slice(mu, nu, theta):
+    """Dense lifted plan of one slice from the reference loops, and whether
+    the slice has a class of more than one atom."""
+    ps, pt = project(mu, theta), project(nu, theta)
+    plan1d = OneDPlan(*northwest_corner(ps.class_masses, pt.class_masses))
+    grouped = not (ps.all_singletons and pt.all_singletons)
+    return dense(*lift_by_entry(ps, pt, plan1d), (len(mu), len(nu))), grouped
 
 
 @pytest.mark.parametrize("regime", ["exact-ties", "near-ties", "duplicates", "pareto"])
-def test_kernels_match_the_reference_loops(regime):
+def test_kernels_match_the_reference_loops(regime, monkeypatch):
     eps = np.finfo(float).eps
-    grouped = floored = 0
+    grouped = floored = mixed = 0
+    monkeypatch.setattr(lifting, "CHUNK_ATOMS", 10**6)
     for seed in range(30):
-        mu, nu, theta = _adversarial_pair(regime, seed)
+        mu, nu, theta = adversarial_pair(regime, seed)
         tol = 16 * (len(mu) + len(nu)) * eps
+        # One chunk of slices: theta and three random directions, so
+        # grouped and all-singleton slices can share it.
+        directions = np.vstack([sample_sphere(2, 2, seed), theta, sample_sphere(1, 2, seed + 1000)])
+        kinds = set()
+        for slices, bounds, i, j, mass, _ in lifting._chunks(
+            mu, nu, directions, 2.0, DEFAULT_GROUPING_TOL
+        ):
+            for k, lo, hi in zip(slices, bounds[:-1], bounds[1:]):
+                got = dense(i[lo:hi], j[lo:hi], mass[lo:hi], (len(mu), len(nu)))
+                want, grouped_slice = _reference_slice(mu, nu, directions[k])
+                kinds.add(grouped_slice)
+                assert np.abs(got - want).max() <= tol, (regime, seed, k)
+        mixed += len(kinds) == 2
         ps, pt = project(mu, theta), project(nu, theta)
         grouped += ps.n_classes < len(mu) or pt.n_classes < len(nu)
         shape = (ps.n_classes, pt.n_classes)
@@ -158,3 +156,5 @@ def test_kernels_match_the_reference_loops(regime):
         floored += len(plan) < pairs.sum()
     assert grouped > 0
     assert floored > 0 or regime != "pareto"  # the mass floor drops entries
+    # In the other regimes repeated atoms group (nearly) every slice.
+    assert mixed > 0 or regime != "near-ties"

@@ -134,6 +134,17 @@ def test_plan_canonical_order_and_entries():
     assert plan.entries == [(0, 1, 0.5), (1, 0, 0.5)]
 
 
+def test_plan_order_is_the_lexicographic_order_and_leaves_inputs_writable():
+    rng = np.random.default_rng(0)
+    keys = rng.choice(40 * 30, size=300, replace=False)
+    i, j, mass = keys // 30, keys % 30, rng.random(300) + 0.1
+    plan = TransportPlan(40, 30, i, j, mass)
+    order = np.lexsort((j, i))
+    assert np.array_equal(plan.i, i[order]) and np.array_equal(plan.j, j[order])
+    assert np.array_equal(plan.mass, mass[order])
+    assert i.flags.writeable and j.flags.writeable and mass.flags.writeable
+
+
 def test_plan_rejects_duplicate_pairs():
     with pytest.raises(TransportError):
         TransportPlan(2, 2, [0, 0], [1, 1], [0.25, 0.25])
@@ -149,6 +160,8 @@ def test_plan_rejects_out_of_range_indices():
         TransportPlan(2, 2, [0, 2], [0, 1], [0.5, 0.5])
     with pytest.raises(IndexOutOfRange):
         TransportPlan(2, 2, [0, 1], [0, -1], [0.5, 0.5])
+    with pytest.raises(IndexOutOfRange, match="int64"):
+        TransportPlan(2**32, 2**31, [0], [0], [1.0])
 
 
 def test_plan_cost_single_dirac_pair():

@@ -17,6 +17,7 @@ from sliced_transport import (
     sample_sphere,
     solve_1d,
 )
+from sliced_transport.slicing import _projections
 from util import random_measure, worked_example
 
 
@@ -232,3 +233,16 @@ def test_sample_sphere_rejects_bad_args():
         sample_sphere(0, 3, seed=0)
     with pytest.raises(TransportError):
         sample_sphere(4, 0, seed=0)
+
+
+def test_projections_do_not_depend_on_the_chunk_shape():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3, 8, 32):
+        atoms = rng.standard_normal((300, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        dirs = sample_sphere(40, d, d)
+        full = _projections(atoms, dirs)
+        for size in (1, 3, 8):
+            for lo in range(0, 40, size):
+                assert np.array_equal(_projections(atoms, dirs[lo : lo + size]), full[lo : lo + size])
+        measure = make_measure(atoms, np.full(300, 1 / 300))
+        assert np.array_equal(project(measure, dirs[7]).class_values, np.sort(full[7]))

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from sliced_transport import DiscreteMeasure, make_measure
+from sliced_transport import DiscreteMeasure, make_measure, sample_sphere
+from sliced_transport.slicing import DEFAULT_GROUPING_TOL
+
+E1 = np.array([1.0, 0.0])
 
 
 def random_measure(rng: np.random.Generator, n: int, d: int, uniform: bool = False) -> DiscreteMeasure:
@@ -115,3 +118,35 @@ def dense(i, j, mass, shape) -> np.ndarray:
     out = np.zeros(shape)
     np.add.at(out, (i, j), mass)
     return out
+
+
+def adversarial_pair(regime: str, seed: int):
+    """A measure pair and a direction that stress one grouping regime."""
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(2, 40, size=2))
+
+    def plain(k):
+        w = rng.random(k) + 0.05
+        return w / w.sum()
+
+    if regime == "exact-ties":
+        xs, ys = (rng.integers(0, 4, size=(k, 2)).astype(float) for k in (n, m))
+        ws, wt, theta = plain(n), plain(m), E1
+    elif regime == "near-ties":
+        # Offsets of 0.5 and 1.5 effective tolerances (max |projection| is
+        # 4.5) straddle the grouping tolerance.
+        steps = np.array([-1.5, -0.5, 0.0, 0.5, 1.5]) * DEFAULT_GROUPING_TOL * 4.5
+        xs, ys = (
+            np.c_[rng.integers(0, 4, k) + rng.choice(steps, k), rng.standard_normal(k)]
+            for k in (n, m)
+        )
+        ws, wt, theta = plain(n), plain(m), E1
+    elif regime == "duplicates":
+        pool = rng.standard_normal((5, 2))
+        xs, ys = pool[rng.integers(0, 5, n)], pool[rng.integers(0, 5, m)]
+        ws, wt, theta = plain(n), plain(m), sample_sphere(1, 2, seed)[0]
+    else:  # pareto: heavy-tailed weights on a coarse grid
+        xs, ys = (rng.integers(0, 3, size=(k, 2)).astype(float) for k in (n, m))
+        ws, wt = ((lambda w: w / w.sum())(rng.pareto(0.3, k) + 1e-12) for k in (n, m))
+        theta = E1
+    return make_measure(xs, ws), make_measure(ys, wt), theta
