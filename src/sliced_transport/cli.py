@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 2 unreadable/unparsable input or input a solver rejects (any
-TransportError a command does not handle), 3 dimension mismatch between the
-two measures, 4 unwritable output location, 5 unknown experiment name.
+Exit codes: 2 unreadable/unparsable input, an out-of-domain option value, or
+input a solver rejects (any TransportError a command does not handle), 3
+dimension mismatch between the two measures, 4 unwritable output location,
+5 unknown experiment name.
 Given the same inputs, options, and seed the outputs are byte-identical
 across runs.
 """
@@ -28,10 +29,10 @@ from .applications import (
     weak_convergence_table,
 )
 from .errors import TransportError
-from .est import est_plan_tempered, min_swgg
-from .measures import DiscreteMeasure, make_measure, plan_cost
-from .oracles import sinkhorn, wasserstein_exact
-from .slicing import sample_sphere
+from .est import _check_tau, est_plan_tempered, min_swgg
+from .measures import DiscreteMeasure, _check_p, make_measure, plan_cost
+from .oracles import _check_lam, sinkhorn, wasserstein_exact
+from .slicing import _check_tol, sample_sphere
 
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
@@ -43,7 +44,7 @@ KNOWN_EXPERIMENTS = ("weak-convergence", "temperature-sweep", "embed-bench")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Options shared by every command."""
+    """Options shared by every command; out-of-domain values raise TransportError."""
 
     p: float = 2.0
     slices: int = 128
@@ -53,16 +54,11 @@ class RunConfig:
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
-        if not 1 < self.p < float("inf"):
-            raise click.BadParameter("p must be a finite number > 1", param_hint="--p")
+        _check_p(self.p)
         if self.slices < 1:
-            raise click.BadParameter("need at least one slice", param_hint="--slices")
-        if not 0 <= self.tau < float("inf"):
-            raise click.BadParameter("tau must be a finite number >= 0", param_hint="--tau")
-        if not self.grouping_tol >= 0:
-            raise click.BadParameter(
-                "grouping tolerance must be nonnegative", param_hint="--grouping-tol"
-            )
+            raise TransportError(f"slices must be at least 1, got {self.slices!r}")
+        _check_tau(self.tau)
+        _check_tol(self.grouping_tol)
 
 
 def _fail(code: int, message: str) -> None:
@@ -151,6 +147,17 @@ config_options = [
 ]
 
 
+def _check_lambda(_ctx, _param, lam: float) -> float:
+    _check_lam(lam)
+    return lam
+
+
+lambda_option = click.option(
+    "--lambda", "lam", type=float, default=1.0, show_default=True, callback=_check_lambda,
+    help="Entropic regularizer.",
+)
+
+
 def _with_config(fn):
     for opt in reversed(config_options):
         fn = opt(fn)
@@ -186,7 +193,7 @@ def main() -> None:
     default="est",
     show_default=True,
 )
-@click.option("--lambda", "lam", type=float, default=1.0, show_default=True, help="Entropic regularizer.")
+@lambda_option
 @click.option("--per-slice", is_flag=True, help="Also print slice index, cost, weight rows.")
 def distance(source, target, p, slices, tau, seed, grouping_tol, fmt, method, lam, per_slice):
     """Print the distance between two measure files (12 significant digits)."""
@@ -219,7 +226,7 @@ def distance(source, target, p, slices, tau, seed, grouping_tol, fmt, method, la
     default="est",
     show_default=True,
 )
-@click.option("--lambda", "lam", type=float, default=1.0, show_default=True, help="Entropic regularizer.")
+@lambda_option
 def plan(source, target, out_file, p, slices, tau, seed, grouping_tol, fmt, method, lam):
     """Compute a transport plan and write it as CSV (i,j,mass)."""
     cfg = _cfg(p, slices, tau, seed, grouping_tol, fmt)
@@ -258,7 +265,7 @@ def plan(source, target, out_file, p, slices, tau, seed, grouping_tol, fmt, meth
     default="est",
     show_default=True,
 )
-@click.option("--lambda", "lam", type=float, default=1.0, show_default=True, help="Entropic regularizer.")
+@lambda_option
 @click.option("--steps", type=click.IntRange(min=1), default=10, show_default=True)
 def interpolate_cmd(source, target, out_dir, p, slices, tau, seed, grouping_tol, fmt, method, lam, steps):
     """Write steps+1 interpolated measures t_000 ... t_<steps>."""
@@ -361,7 +368,10 @@ def _experiment_embed_bench(out_path: Path, cfg: RunConfig, lam: float) -> None:
 @_with_config
 @click.option("--taus", default="0,1,10", show_default=True, help="Comma-separated tau list.")
 @click.option("--lambdas", default="1,10", show_default=True, help="Comma-separated lambda list.")
-@click.option("--lambda", "lam", type=float, default=10.0, show_default=True, help="Embedding regularizer.")
+@click.option(
+    "--lambda", "lam", type=float, default=10.0, show_default=True, callback=_check_lambda,
+    help="Embedding regularizer.",
+)
 def experiment(name, out_dir, p, slices, tau, seed, grouping_tol, fmt, taus, lambdas, lam):
     """Run a named experiment and write plot-ready CSV tables."""
     if name not in KNOWN_EXPERIMENTS:

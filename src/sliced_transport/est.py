@@ -177,6 +177,11 @@ def est_plan(
     return EstResult(plan, _fold_distance(weights, costs, p), costs, np.array(weights))
 
 
+def _check_tau(tau: float) -> None:
+    if not 0 <= tau < np.inf:
+        raise TransportError(f"tau must be a finite number >= 0, got {tau!r}")
+
+
 def sigma_tau_weights(costs_pth_power, tau: float) -> np.ndarray:
     """Softmax slice weights exp(-tau * c) / sum, computed stably.
 
@@ -190,8 +195,7 @@ def sigma_tau_weights(costs_pth_power, tau: float) -> np.ndarray:
         raise TransportError("need a nonempty cost vector")
     if not np.all(np.isfinite(costs)):
         raise TransportError("per-slice costs must be finite")
-    if not 0 <= tau < np.inf:
-        raise TransportError(f"tau must be a finite number >= 0, got {tau!r}")
+    _check_tau(tau)
     z = np.exp(-tau * (costs - costs.min()))
     return z / float(z.sum())
 

@@ -154,9 +154,13 @@ def read_plan_csv(path, source_size: int | None = None, target_size: int | None 
             raise TransportError(f"{path}:{lineno}: {exc}") from None
     if not ii:
         raise TransportError(f"{path}: plan has no entries")
-    n = source_size if source_size is not None else max(ii) + 1
-    m = target_size if target_size is not None else max(jj) + 1
-    return TransportPlan(n, m, np.asarray(ii), np.asarray(jj), np.asarray(mm))
+    try:
+        ii, jj = np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64)
+    except OverflowError:
+        raise TransportError(f"{path}: plan index beyond the int64 range") from None
+    n = source_size if source_size is not None else int(ii.max()) + 1
+    m = target_size if target_size is not None else int(jj.max()) + 1
+    return TransportPlan(n, m, ii, jj, np.asarray(mm))
 
 
 def write_directions_csv(directions: np.ndarray, path) -> None:

@@ -12,14 +12,15 @@ Three independent routes:
 * ``sinkhorn``: entropic regularization, iterated in the log domain from
   the first step.  The regularizer ``lam`` applies to the raw
   ``|x - y|**p`` costs.
+
+``wasserstein_exact`` and ``sinkhorn`` import scipy when called, not at
+module level: importing this module, the package or the CLI loads numpy
+only, and the sliced solvers never pay for scipy's start-up.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatch,
@@ -40,6 +41,11 @@ def _pairwise_pth_costs(source: DiscreteMeasure, target: DiscreteMeasure, p: flo
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) ** p
 
 
+def _check_lam(lam: float) -> None:
+    if not 0 < lam < np.inf:
+        raise TransportError(f"lam must be positive and finite, got {lam!r}")
+
+
 def wasserstein_exact(
     source: DiscreteMeasure,
     target: DiscreteMeasure,
@@ -50,6 +56,9 @@ def wasserstein_exact(
     Raises InstanceTooLarge when n * m exceeds 250000 variables.  The
     returned plan is a basic (vertex) solution, hence sparse.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     _check_p(p)
     n, m = len(source), len(target)
     if n * m > EXACT_SIZE_LIMIT:
@@ -147,9 +156,10 @@ def sinkhorn(
     ``return_trace=True`` a third element lists the error after each
     iteration.
     """
+    from scipy.special import logsumexp
+
     _check_p(p)
-    if lam <= 0:
-        raise TransportError("lam must be positive")
+    _check_lam(lam)
     costs = _pairwise_pth_costs(source, target, p)
     a = source.weights
     b = target.weights

@@ -172,8 +172,8 @@ def _check_directions(directions, dim: int) -> np.ndarray:
 
 
 def _check_tol(grouping_tol: float) -> None:
-    if not grouping_tol >= 0:
-        raise TransportError(f"grouping_tol must be nonnegative, got {grouping_tol!r}")
+    if not 0 <= grouping_tol < np.inf:
+        raise TransportError(f"grouping_tol must be a finite number >= 0, got {grouping_tol!r}")
 
 
 def _projections(atoms: np.ndarray, directions: np.ndarray) -> np.ndarray:

@@ -1,16 +1,22 @@
 """End-to-end command-line behavior via click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sliced_transport
 from sliced_transport import (
     est_plan_tempered,
     io,
     make_measure,
+    plan_cost,
     sample_sphere,
+    sinkhorn,
     validate_coupling,
     wasserstein_exact,
 )
@@ -192,6 +198,20 @@ def test_unknown_experiment_exit_code(runner, tmp_path):
     assert "unknown experiment" in result.output
 
 
+def test_option_values_are_checked_before_the_experiment_name(runner, tmp_path):
+    # Option values are validated while click parses them, before any command body.
+    result = runner.invoke(main, ["experiment", "no-such-study", str(tmp_path), "--lambda", "nan"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: lam must")
+
+
+def test_lambda_is_checked_whatever_the_method(runner, pair_files):
+    a, b, *_ = pair_files
+    result = runner.invoke(main, ["distance", a, b, "--method", "est", "--lambda", "0"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: lam must")
+
+
 def test_experiment_temperature_sweep(runner, tmp_path):
     out = tmp_path / "sweep"
     result = runner.invoke(
@@ -252,7 +272,53 @@ def test_rejects_bad_option_values(runner, pair_files):
 
 
 @pytest.mark.parametrize("option, value", [("--p", "nan"), ("--p", "inf"), ("--tau", "nan"),
-                                           ("--tau", "inf"), ("--grouping-tol", "nan")])
+                                           ("--tau", "inf"), ("--grouping-tol", "nan"),
+                                           ("--grouping-tol", "inf"), ("--lambda", "nan"),
+                                           ("--lambda", "inf")])
 def test_rejects_non_finite_option_values(runner, pair_files, option, value):
     a, b, *_ = pair_files
-    assert runner.invoke(main, ["distance", a, b, option, value]).exit_code == 2
+    result = runner.invoke(main, ["distance", a, b, option, value])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+    assert len(result.output.splitlines()) == 1
+
+
+def _fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports this package."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(sliced_transport.__file__)))
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+@pytest.mark.parametrize("module", ["sliced_transport", "sliced_transport.cli"])
+def test_cold_import_loads_no_scipy(module):
+    proc = _fresh_python("-c", f"import sys, {module}; print({_SCIPY_MODULES})")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("method", ["est", "min-swgg"])
+def test_cold_sliced_distance_loads_no_scipy(pair_files, method):
+    a, b, *_ = pair_files
+    code = ("import sys; from sliced_transport.cli import main; "
+            f"main({['distance', a, b, '--method', method]!r}, standalone_mode=False); "
+            f"print({_SCIPY_MODULES})")
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("method", ["exact", "sinkhorn"])
+def test_cold_reference_distance_matches_library(pair_files, method):
+    a, b, mu, nu = pair_files
+    proc = _fresh_python("-m", "sliced_transport.cli", "distance", a, b, "--method", method)
+    assert proc.returncode == 0, proc.stderr
+    if method == "exact":
+        expect = wasserstein_exact(mu, nu)[1]
+    else:
+        expect = plan_cost(sinkhorn(mu, nu)[0], mu, nu)
+    assert proc.stdout.strip() == f"{expect:.12g}"

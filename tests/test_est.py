@@ -118,6 +118,7 @@ BAD_VALUES = [
     ("grouping_tol", {"grouping_tol": math.nan}),
     ("grouping_tol", {"grouping_tol": -1e-9}),
     ("directions", {}),
+    ("grouping_tol", {"grouping_tol": math.inf}),
 ]
 
 

@@ -82,6 +82,20 @@ def test_measure_csv_rejects_empty(tmp_path):
         io.read_measure_csv(path)
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("w,x1,x2\n0.5,0.0,0.0\n0.5,1.0\n", 3, "expected 3 fields"),
+    ("w,x1\n0.5,0.0,1.0\n0.5,1.0,2.0\n", 2, "expected 2 fields"),
+    ("w,x1\n0.5,0.0\n\n0.5,abc\n", 4, "could not convert string to float: 'abc'"),
+    ("w,x1\n0.5,0x10\n0.5,1,2\n", 2, "could not convert string to float: '0x10'"),
+])
+def test_measure_csv_error_names_the_first_bad_line(tmp_path, text, lineno, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(TransportError) as info:
+        io.read_measure_csv(path)
+    assert str(info.value) == f"{path}:{lineno}: {message}"
+
+
 def test_measure_json_rejects_wrong_shape(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2, 3]")
@@ -141,6 +155,27 @@ def test_plan_csv_rejects_empty_body(tmp_path):
     path = tmp_path / "plan.csv"
     path.write_text("i,j,mass\n")
     with pytest.raises(TransportError):
+        io.read_plan_csv(path)
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("i,j,mass\n0,0,0.5\n1,1\n", 3, "expected 3 fields"),
+    ("i,j,mass\n0,0,0.5,1\n1,1,0.5,1\n", 2, "expected 3 fields"),
+    ("i,j,mass\n0,0,0.5\n\n1.0,1,0.5\n", 4, "invalid literal for int() with base 10: '1.0'"),
+    ("i,j,mass\n0,0,0.5\n1,1,half\n", 3, "could not convert string to float: 'half'"),
+])
+def test_plan_csv_error_names_the_first_bad_line(tmp_path, text, lineno, message):
+    path = tmp_path / "plan.csv"
+    path.write_text(text)
+    with pytest.raises(TransportError) as info:
+        io.read_plan_csv(path)
+    assert str(info.value) == f"{path}:{lineno}: {message}"
+
+
+def test_plan_csv_rejects_indices_beyond_int64(tmp_path):
+    path = tmp_path / "plan.csv"
+    path.write_text(f"i,j,mass\n{2**70},0,1.0\n")
+    with pytest.raises(TransportError, match="int64"):
         io.read_plan_csv(path)
 
 

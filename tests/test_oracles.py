@@ -193,7 +193,8 @@ def test_sinkhorn_degenerate_kernel_falls_back_to_product():
 
 def test_sinkhorn_rejects_bad_parameters():
     mu = make_measure([(0.0,)], [1.0])
-    with pytest.raises(TransportError):
-        sinkhorn(mu, mu, lam=0.0)
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(TransportError, match="^lam must be positive and finite"):
+            sinkhorn(mu, mu, lam=lam)
     with pytest.raises(TransportError):
         sinkhorn(mu, mu, p=1.0)
