@@ -156,6 +156,10 @@ lambda_option = click.option(
     "--lambda", "lam", type=float, default=1.0, show_default=True, callback=_check_lambda,
     help="Entropic regularizer.",
 )
+method_option = click.option(
+    "--method", type=click.Choice(["est", "min-swgg", "exact", "sinkhorn"]), default="est",
+    show_default=True,
+)
 
 
 def _with_config(fn):
@@ -187,12 +191,7 @@ def main() -> None:
 @click.argument("source", type=click.Path())
 @click.argument("target", type=click.Path())
 @_with_config
-@click.option(
-    "--method",
-    type=click.Choice(["est", "min-swgg", "exact", "sinkhorn"]),
-    default="est",
-    show_default=True,
-)
+@method_option
 @lambda_option
 @click.option("--per-slice", is_flag=True, help="Also print slice index, cost, weight rows.")
 def distance(source, target, p, slices, tau, seed, grouping_tol, fmt, method, lam, per_slice):
@@ -220,12 +219,7 @@ def distance(source, target, p, slices, tau, seed, grouping_tol, fmt, method, la
 @click.argument("target", type=click.Path())
 @click.argument("out_file", type=click.Path())
 @_with_config
-@click.option(
-    "--method",
-    type=click.Choice(["est", "min-swgg", "exact", "sinkhorn"]),
-    default="est",
-    show_default=True,
-)
+@method_option
 @lambda_option
 def plan(source, target, out_file, p, slices, tau, seed, grouping_tol, fmt, method, lam):
     """Compute a transport plan and write it as CSV (i,j,mass)."""
@@ -259,12 +253,7 @@ def plan(source, target, out_file, p, slices, tau, seed, grouping_tol, fmt, meth
 @click.argument("target", type=click.Path())
 @click.argument("out_dir", type=click.Path())
 @_with_config
-@click.option(
-    "--method",
-    type=click.Choice(["est", "min-swgg", "exact", "sinkhorn"]),
-    default="est",
-    show_default=True,
-)
+@method_option
 @lambda_option
 @click.option("--steps", type=click.IntRange(min=1), default=10, show_default=True)
 def interpolate_cmd(source, target, out_dir, p, slices, tau, seed, grouping_tol, fmt, method, lam, steps):

@@ -89,11 +89,14 @@ class EstResult:
     slice_weights: np.ndarray
 
 
+# An overflowing cost is reported once, as the TransportError below.
+@np.errstate(over="ignore")
 def _run(source, target, directions, p, grouping_tol, weigh):
     """Lift along every direction and merge the slices under ``weigh(costs)``.
 
-    Checks the inputs once.  Returns the merged plan, the per-slice costs
-    and the slice weights; slices of weight 0 add nothing to the plan.
+    Checks the inputs once, and the per-slice costs before they are
+    weighed.  Returns the merged plan, the per-slice costs and the slice
+    weights; slices of weight 0 add nothing to the plan.
     """
     _check_pair(source, target, p)
     directions = _check_directions(directions, source.dim)
@@ -113,6 +116,8 @@ def _run(source, target, directions, p, grouping_tol, weigh):
         key *= count
         key += np.repeat(slices, np.diff(bounds))
         blocks.append((slices, bounds, key, mass))
+    if not np.isfinite(costs).all():
+        raise TransportError(f"slice costs overflow: |x - y|**p exceeds the float range at p={p!r}")
     weights = weigh(costs)
     # Each full-size array is dropped once merged, so at most three arrays
     # of all entries are alive at a time.

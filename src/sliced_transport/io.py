@@ -1,4 +1,4 @@
-"""File formats: measures, plans, slice sets, embeddings.
+"""File formats: measures (CSV, JSON) and plans (CSV).
 
 CSV floats are written with 17 significant digits and JSON floats in
 Python's shortest round-trip form, so write-then-read reproduces every
@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .applications import EmbeddingMatrix
 from .errors import TransportError
 from .measures import DiscreteMeasure, TransportPlan, make_measure
 
@@ -161,36 +160,3 @@ def read_plan_csv(path, source_size: int | None = None, target_size: int | None 
     n = source_size if source_size is not None else int(ii.max()) + 1
     m = target_size if target_size is not None else int(jj.max()) + 1
     return TransportPlan(n, m, ii, jj, np.asarray(mm))
-
-
-def write_directions_csv(directions: np.ndarray, path) -> None:
-    """Reproducibility dump: one direction per row, d coordinates."""
-    directions = np.asarray(directions, dtype=float)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in directions:
-            writer.writerow([_fmt(c) for c in row])
-
-
-def write_embedding_csv(embedding: EmbeddingMatrix, path, params: dict | None = None) -> None:
-    """N x d matrix rows; method parameters go to a .meta.json sidecar."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in embedding.rows:
-            writer.writerow([_fmt(c) for c in row])
-    if params is not None:
-        sidecar = path.with_suffix(path.suffix + ".meta.json")
-        sidecar.write_text(json.dumps(params, sort_keys=True, indent=2))
-
-
-def read_embedding_csv(path, reference_size: int | None = None) -> EmbeddingMatrix:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [[float(c) for c in row] for row in csv.reader(fh) if row]
-    if not rows:
-        raise TransportError(f"{path}: empty embedding file")
-    mat = np.asarray(rows, dtype=float)
-    if reference_size is not None and mat.shape[0] != reference_size:
-        raise TransportError(f"{path}: expected {reference_size} rows, found {mat.shape[0]}")
-    return EmbeddingMatrix(mat, mat.shape[0], mat.shape[1])

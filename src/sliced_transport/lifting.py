@@ -94,18 +94,19 @@ def _chunks(source: DiscreteMeasure, target: DiscreteMeasure, directions: np.nda
     Yields ``(slices, bounds, i, j, mass, costs)``: entries
     ``bounds[k]:bounds[k + 1]`` are the lifted plan of slice ``slices[k]``
     and ``costs[k]`` its cost.  A chunk of directions is projected and
-    sorted with one product and one row-wise sort per side.  Its slices
-    whose sorted gaps all exceed the grouping tolerance are solved and
-    lifted together; every other slice takes its classes from ``project``
-    and goes through the same kernels alone.
+    sorted with one product and one row-wise sort per side, which also
+    marks where each slice's classes open.  Its slices whose every
+    projection opens a class are solved and lifted together; every other
+    slice takes its classes from ``project``, grouped by the same rule, and
+    goes through the same kernels alone.
     """
     n, m = len(source), len(target)
     step = max(1, CHUNK_ATOMS // (n + m))
     for lo in range(0, directions.shape[0], step):
         chunk = directions[lo : lo + step]
-        order_s, _, _, single_s = _sort_rows(source.atoms, chunk, grouping_tol)
-        order_t, _, _, single_t = _sort_rows(target.atoms, chunk, grouping_tol)
-        single = single_s & single_t
+        order_s, _, opens_s = _sort_rows(source.atoms, chunk, grouping_tol)
+        order_t, _, opens_t = _sort_rows(target.atoms, chunk, grouping_tol)
+        single = opens_s.all(axis=1) & opens_t.all(axis=1)
         rows = np.flatnonzero(single)
         if rows.size:
             order_s, order_t = order_s[rows], order_t[rows]

@@ -38,7 +38,11 @@ def _pairwise_pth_costs(source: DiscreteMeasure, target: DiscreteMeasure, p: flo
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimensions differ")
     diff = source.atoms[:, None, :] - target.atoms[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) ** p
+    with np.errstate(over="ignore"):
+        costs = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) ** p
+    if not np.isfinite(costs).all():
+        raise TransportError(f"pairwise costs overflow: |x - y|**p exceeds the float range at p={p!r}")
+    return costs
 
 
 def _check_lam(lam: float) -> None:
@@ -53,8 +57,9 @@ def wasserstein_exact(
 ) -> tuple[TransportPlan, float]:
     """Optimal plan and W_p distance via the transport linear program.
 
-    Raises InstanceTooLarge when n * m exceeds 250000 variables.  The
-    returned plan is a basic (vertex) solution, hence sparse.
+    Raises InstanceTooLarge when n * m exceeds 250000 variables, and
+    TransportError when a cost ``|x - y|**p`` overflows.  The returned plan
+    is a basic (vertex) solution, hence sparse.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -150,9 +155,11 @@ def sinkhorn(
     ``exp(-|x - y|**p / lam)`` until both marginal L1 errors drop below
     ``stop_tol`` or ``max_iters`` is reached.  Returns ``(plan, err)``
     where ``err`` is the achieved marginal error; non-convergence is
-    reported through ``err``, never as an exception.  A kernel row or
-    column that underflows to zero everywhere aborts with the independent
-    product plan and ``err = inf`` instead of propagating NaNs.  With
+    reported through ``err``, never as an exception; a cost ``|x - y|**p``
+    that overflows raises TransportError.  A kernel row or column that
+    underflows to zero everywhere (``cost / lam`` overflowing) aborts with
+    the independent product plan and ``err = inf`` instead of propagating
+    NaNs.  With
     ``return_trace=True`` a third element lists the error after each
     iteration.
     """

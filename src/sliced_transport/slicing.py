@@ -9,10 +9,12 @@ the merged cumulative class masses of the two sides: every cumulative mass
 is a cut, and the mass between two consecutive cuts ships from the source
 class to the target class that both contain it.
 
-Grouping tolerance is relative: a tolerance ``g`` merges sorted projections
-that stay within ``g * max(1, max|theta . x|)`` of the running class
-representative (the first value that opened the class).  Passing 0 merges
-exactly equal projections only.
+Grouping tolerance is relative: with ``tol = g * max(1, max|theta . x|)``,
+a sorted projection opens a new class when ``value - rep > tol``, ``rep``
+being the value that opened the current class; ``g = 0`` merges exact ties
+only.  Rounded subtraction is monotone, so a gap above ``tol`` always opens
+a class, and a run of gaps at or below it that spans at most ``tol`` is one
+class; only the other runs of close gaps need the scan.
 """
 
 from __future__ import annotations
@@ -189,17 +191,31 @@ def _projections(atoms: np.ndarray, directions: np.ndarray) -> np.ndarray:
 
 
 def _sort_rows(atoms: np.ndarray, directions: np.ndarray, grouping_tol: float):
-    """Stable sort of the projections onto each direction, row by row.
+    """Stable sort of the projections onto each direction, and their classes.
 
-    Returns the sort orders and sorted values (L, n), each row's effective
-    grouping tolerance, and whether every gap of a row exceeds it, which
-    makes every projection of that row its own class.
+    Returns the sort orders and sorted values (L, n) and a boolean (L, n)
+    array, True where a class opens under the row's tolerance by the rule
+    of the module docstring (gap compare, span compare, then the scan).
     """
     proj = _projections(atoms, directions)
     order = np.argsort(proj, axis=1, kind="stable")
     values = np.take_along_axis(proj, order, axis=1)
     tol = grouping_tol * np.maximum(np.maximum(1.0, -values[:, 0]), values[:, -1])
-    return order, values, tol, (values[:, 1:] - values[:, :-1] > tol[:, None]).all(axis=1)
+    opens = np.ones(values.shape, dtype=bool)
+    opens[:, 1:] = values[:, 1:] - values[:, :-1] > tol[:, None]
+    # Runs of close gaps, on flat views (the scan writes into opens); every
+    # row opens at its first value, so no run crosses rows.
+    flat, vals = opens.reshape(-1), values.reshape(-1)
+    last = np.append(flat[1:], True)
+    heads, ends = np.flatnonzero(flat & ~last), np.flatnonzero(~flat & last)
+    tols = tol[heads // values.shape[1]]
+    wide = vals[ends] - vals[heads] > tols
+    for head, end, row_tol in zip(heads[wide], ends[wide], tols[wide].tolist()):
+        rep = vals[head]
+        for k in range(head + 1, end + 1):
+            if vals[k] - rep > row_tol:
+                flat[k], rep = True, vals[k]
+    return order, values, opens
 
 
 def project(
@@ -209,32 +225,16 @@ def project(
 ) -> ProjectedMeasure:
     """Push a measure onto a unit direction, merging coincident projections.
 
-    Atoms are sorted by projected value (original index as tie-break) and a
-    new class opens whenever a value exceeds the running class representative
-    by more than the effective tolerance ``grouping_tol * max(1, max|proj|)``.
+    Atoms are sorted by projected value (original index as tie-break) and
+    grouped by the running-representative rule of the module docstring.
     """
     theta = _check_directions(np.asarray(direction, dtype=float).reshape(1, -1), measure.dim)
     _check_tol(grouping_tol)
-    orders, values, tols, single = _sort_rows(measure.atoms, theta, grouping_tol)
-    order, values, tol = orders[0], values[0], float(tols[0])
+    (order,), (values,), (opens,) = _sort_rows(measure.atoms, theta, grouping_tol)
     weights = measure.weights[order]
-    n = values.shape[0]
-    if single[0]:
-        # Generic case: every projection is its own class.
-        starts = np.arange(n + 1, dtype=np.int64)
-        class_values = values
-        class_masses = weights
-    else:
-        start_list = [0]
-        rep = values[0]
-        for k in range(1, n):
-            if values[k] - rep > tol:
-                start_list.append(k)
-                rep = values[k]
-        starts = np.asarray(start_list + [n], dtype=np.int64)
-        class_values = values[starts[:-1]]
-        class_masses = np.add.reduceat(weights, starts[:-1])
-    return ProjectedMeasure(class_values, class_masses, order, starts, weights)
+    heads = np.flatnonzero(opens)
+    return ProjectedMeasure(values[heads], np.add.reduceat(weights, heads), order,
+                            np.append(heads, len(order)), weights)
 
 
 def _monotone(ms: np.ndarray, mt: np.ndarray):

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import sliced_transport
 from sliced_transport import (
     est_plan_tempered,
+    gaussian_pair,
     io,
     make_measure,
     plan_cost,
@@ -280,6 +281,55 @@ def test_rejects_non_finite_option_values(runner, pair_files, option, value):
     result = runner.invoke(main, ["distance", a, b, option, value])
     assert result.exit_code == 2
     assert result.output.startswith("error: ")
+    assert len(result.output.splitlines()) == 1
+
+
+SOLVER_OPTIONS_HELP = """\
+Options:
+  --p FLOAT                       Cost exponent (> 1).  [default: 2.0]
+  --slices INTEGER                Number of directions L.  [default: 128]
+  --tau FLOAT                     Direction-weight temperature.  [default: 0.0]
+  --seed INTEGER                  RNG seed for directions.  [default: 0]
+  --grouping-tol FLOAT            Relative tolerance for merging coincident
+                                  projections.  [default: 1e-09]
+  --format [csv|json]             Output format.  [default: csv]
+  --method [est|min-swgg|exact|sinkhorn]
+                                  [default: est]
+  --lambda FLOAT                  Entropic regularizer.  [default: 1.0]
+"""
+
+
+@pytest.mark.parametrize("command, arguments, summary, own_options", [
+    ("distance", "SOURCE TARGET",
+     "Print the distance between two measure files (12 significant digits).",
+     "  --per-slice                     Also print slice index, cost, weight rows.\n"),
+    ("plan", "SOURCE TARGET OUT_FILE",
+     "Compute a transport plan and write it as CSV (i,j,mass).", ""),
+    ("interpolate", "SOURCE TARGET OUT_DIR",
+     "Write steps+1 interpolated measures t_000 ... t_<steps>.",
+     "  --steps INTEGER RANGE           [default: 10; x>=1]\n"),
+])
+def test_solver_commands_help_text(runner, command, arguments, summary, own_options):
+    result = runner.invoke(main, [command, "--help"], terminal_width=80)
+    assert result.exit_code == 0
+    assert result.output == (
+        f"Usage: main {command} [OPTIONS] {arguments}\n\n  {summary}\n\n{SOLVER_OPTIONS_HELP}"
+        f"{own_options}  --help                          Show this message and exit.\n"
+    )
+
+
+@pytest.mark.parametrize("options", [["--method", "est"], ["--method", "min-swgg"],
+                                     ["--method", "exact"], ["--method", "sinkhorn"],
+                                     ["--tau", "1"]])
+def test_overflowing_costs_exit_2_with_one_error_line(runner, tmp_path, options):
+    mu, nu = gaussian_pair(size=20, dim=2, shift=3.0, seed=0)
+    a, b = tmp_path / "mu.csv", tmp_path / "nu.csv"
+    io.write_measure_csv(mu, a)
+    io.write_measure_csv(nu, b)
+    result = runner.invoke(main, ["distance", str(a), str(b), "--p", "2000", "--slices", "8", *options])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ") and "overflow" in result.output
+    assert result.output.rstrip().endswith("at p=2000.0")
     assert len(result.output.splitlines()) == 1
 
 

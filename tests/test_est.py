@@ -1,6 +1,7 @@
 """Slice aggregation: averaged plans, distances, temperature, min-slice."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sliced_transport import (
     TransportError,
     est_plan,
     est_plan_tempered,
+    gaussian_pair,
     lift_for_direction,
     make_measure,
     min_swgg,
@@ -138,6 +140,17 @@ def test_tempered_rejects_bad_tau_by_name(tau):
         est_plan_tempered(mu, nu, sample_sphere(4, mu.dim, 0), tau=tau)
     with pytest.raises(TransportError, match="^tau must"):
         sigma_tau_weights(np.array([1.0, 2.0]), tau)
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_overflowing_costs_raise_a_typed_error(entry):
+    # |x - y|**2000 overflows for atoms more than ~1.43 apart; the overflow
+    # is reported once, as the error, not as a numpy warning.
+    mu, nu = gaussian_pair(size=20, dim=2, shift=3.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TransportError, match=r"^slice costs overflow: .* at p=2000\.0$"):
+            ENTRY_POINTS[entry](mu, nu, sample_sphere(8, 2, 0), p=2000.0)
 
 
 def test_est_worked_example_plan():

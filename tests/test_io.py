@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from sliced_transport import (
-    EmbeddingMatrix,
     TransportError,
     TransportPlan,
     io,
     make_measure,
     product_coupling,
-    sample_sphere,
 )
 from util import random_pair
 
@@ -177,36 +175,3 @@ def test_plan_csv_rejects_indices_beyond_int64(tmp_path):
     path.write_text(f"i,j,mass\n{2**70},0,1.0\n")
     with pytest.raises(TransportError, match="int64"):
         io.read_plan_csv(path)
-
-
-# ---------------------------------------------------------------------------
-# directions and embeddings
-
-
-def test_directions_csv_written_rowwise(tmp_path):
-    dirs = sample_sphere(5, 3, seed=0)
-    path = tmp_path / "dirs.csv"
-    io.write_directions_csv(dirs, path)
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-    mat = np.asarray([[float(c) for c in row] for row in rows])
-    np.testing.assert_array_equal(mat, dirs)
-
-
-def test_embedding_csv_round_trip_with_sidecar(tmp_path):
-    emb = EmbeddingMatrix(np.array([[0.5, -1.5], [2.0, 0.25]]), 2, 2)
-    path = tmp_path / "emb.csv"
-    io.write_embedding_csv(emb, path, params={"method": "est", "seed": 7})
-    back = io.read_embedding_csv(path, reference_size=2)
-    np.testing.assert_array_equal(back.rows, emb.rows)
-    sidecar = tmp_path / "emb.csv.meta.json"
-    assert sidecar.exists()
-    assert '"seed": 7' in sidecar.read_text()
-
-
-def test_embedding_csv_row_count_check(tmp_path):
-    emb = EmbeddingMatrix(np.zeros((3, 2)), 3, 2)
-    path = tmp_path / "emb.csv"
-    io.write_embedding_csv(emb, path)
-    assert not (tmp_path / "emb.csv.meta.json").exists()
-    with pytest.raises(TransportError):
-        io.read_embedding_csv(path, reference_size=4)

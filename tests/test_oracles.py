@@ -1,6 +1,7 @@
 """Reference solvers: exact LP plans, 1D quantile integration, entropic plans."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sliced_transport import (
     InstanceTooLarge,
     MassImbalance,
     TransportError,
+    gaussian_pair,
     make_measure,
     plan_cost,
     product_coupling,
@@ -181,14 +183,23 @@ def test_sinkhorn_nonconvergence_reported_not_raised():
 
 
 def test_sinkhorn_degenerate_kernel_falls_back_to_product():
-    # Costs overflow to inf, the kernel dies, and the product coupling
-    # comes back with an infinite reported error.
+    # The costs are finite but cost / lam overflows, the kernel dies, and
+    # the product coupling comes back with an infinite reported error.
     mu = make_measure([(0.0,), (1.0,)], [0.5, 0.5])
-    nu = make_measure([(1e200,), (2e200,)], [0.5, 0.5])
-    plan, err = sinkhorn(mu, nu, lam=1.0)
+    nu = make_measure([(1e100,), (2e100,)], [0.5, 0.5])
+    plan, err = sinkhorn(mu, nu, lam=1e-200)
     assert err == np.inf
     expect = product_coupling(mu, nu)
     assert plan.entries == expect.entries
+
+
+@pytest.mark.parametrize("solver", [wasserstein_exact, sinkhorn])
+def test_overflowing_costs_raise_a_typed_error(solver):
+    mu, nu = gaussian_pair(size=20, dim=2, shift=3.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TransportError, match=r"^pairwise costs overflow: .* at p=2000\.0$"):
+            solver(mu, nu, p=2000.0)
 
 
 def test_sinkhorn_rejects_bad_parameters():

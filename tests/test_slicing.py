@@ -17,8 +17,8 @@ from sliced_transport import (
     sample_sphere,
     solve_1d,
 )
-from sliced_transport.slicing import _projections
-from util import random_measure, worked_example
+from sliced_transport.slicing import DEFAULT_GROUPING_TOL, _projections, _sort_rows
+from util import adversarial_pair, random_measure, running_representative_starts, worked_example
 
 
 def test_project_groups_equal_projections():
@@ -105,6 +105,107 @@ def test_project_masses_partition_total():
         proj = project(m, theta)
         assert float(np.sum(proj.class_masses)) == pytest.approx(1.0, abs=1e-12)
         assert sorted(proj.member_indices.tolist()) == list(range(len(m)))
+
+
+# ---------------------------------------------------------------------------
+# grouping against the reference scan
+
+E1, E2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+# A power of two, so that multiples of it in hand-built rows are exact.
+TOL = 2.0**-30
+
+
+def assert_grouped_like_the_scan(measure, directions, grouping_tol=DEFAULT_GROUPING_TOL):
+    """Check the class openings of ``_sort_rows`` and the classes of ``project``
+    along every direction against the reference scan; return the openings
+    and the number of classes that opened after a gap within the tolerance."""
+    directions = np.asarray(directions, dtype=float)
+    order, values, opens = _sort_rows(measure.atoms, directions, grouping_tol)
+    inside_runs = 0
+    for row, theta in enumerate(directions):
+        tol = grouping_tol * max(1.0, -values[row, 0], values[row, -1])
+        starts = running_representative_starts(values[row], tol)
+        np.testing.assert_array_equal(np.flatnonzero(opens[row]), starts[:-1])
+        inside_runs += int(np.sum(np.diff(values[row])[starts[1:-1] - 1] <= tol))
+        proj = project(measure, theta, grouping_tol)
+        weights = measure.weights[order[row]]
+        np.testing.assert_array_equal(proj.class_starts, starts)
+        np.testing.assert_array_equal(proj.member_indices, order[row])
+        np.testing.assert_array_equal(proj.class_values, values[row, starts[:-1]])
+        np.testing.assert_allclose(
+            proj.class_masses, [weights[lo:hi].sum() for lo, hi in zip(starts[:-1], starts[1:])],
+            rtol=1e-14, atol=0,
+        )
+    return opens, inside_runs
+
+
+def plane_measure(xs, ys):
+    w = np.linspace(1.0, 2.0, len(xs))
+    return make_measure(np.c_[xs, ys], w / w.sum())
+
+
+@pytest.mark.parametrize("regime", ["exact-ties", "near-ties", "duplicates", "pareto"])
+def test_grouping_matches_the_reference_scan(regime):
+    inside_runs = 0
+    for seed in range(30):
+        mu, nu, theta = adversarial_pair(regime, seed)
+        directions = np.vstack([theta, sample_sphere(3, 2, seed)])
+        for measure in (mu, nu):
+            inside_runs += assert_grouped_like_the_scan(measure, directions)[1]
+    # Near-ties straddle the tolerance: some runs of close gaps span more.
+    assert inside_runs > 0 or regime != "near-ties"
+
+
+def test_grouping_opens_a_class_inside_a_chain_of_close_gaps():
+    # Every gap is 0.6 tolerances, but every second value lies more than one
+    # tolerance above the value that opened its class.
+    chain = np.arange(12) * (0.6 * TOL)
+    measure = plane_measure(chain, np.zeros(12))
+    opens, inside_runs = assert_grouped_like_the_scan(measure, [E1, -E1, E2], TOL)
+    assert np.flatnonzero(opens[0]).tolist() == [0, 2, 4, 6, 8, 10]
+    assert np.flatnonzero(opens[1]).tolist() == [0, 2, 4, 6, 8, 10]
+    assert np.flatnonzero(opens[2]).tolist() == [0]
+    assert inside_runs == 10
+
+
+def test_grouping_exact_ties_at_both_ends_of_a_row():
+    measure = plane_measure([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 3.0, 3.0], np.arange(8.0))
+    opens, _ = assert_grouped_like_the_scan(measure, [E1, -E1, E2])
+    assert np.flatnonzero(opens[0]).tolist() == [0, 3, 4, 5]
+    assert np.flatnonzero(opens[1]).tolist() == [0, 3, 4, 5]
+    assert opens[2].all()
+
+
+def test_grouping_run_spanning_exactly_the_tolerance_is_one_class():
+    # [0, 0.5, 1] spans exactly one tolerance: one class.  [3, 3.5, 4, 4.5]
+    # spans 1.5, so its last value opens a class of its own.
+    measure = plane_measure(np.array([0.0, 0.5, 1.0, 3.0, 3.5, 4.0, 4.5]) * TOL, np.zeros(7))
+    opens, _ = assert_grouped_like_the_scan(measure, [E1], TOL)
+    assert np.flatnonzero(opens[0]).tolist() == [0, 3, 6]
+
+
+def test_grouping_with_zero_tolerance_merges_exact_ties_only():
+    xs = [0.0, 0.0, 5e-324, 1e-300, 1e-300, 1.0]
+    opens, _ = assert_grouped_like_the_scan(plane_measure(xs, np.arange(6.0)), [E1, -E1, E2], 0.0)
+    assert np.flatnonzero(opens[0]).tolist() == [0, 2, 3, 5]
+    assert np.flatnonzero(opens[1]).tolist() == [0, 1, 3, 4]
+
+
+gap_in_tolerances = st.sampled_from([0.0, 1 + 2.0**-52, 1 - 2.0**-52, 1.0, 0.5, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gaps=st.lists(st.tuples(gap_in_tolerances, gap_in_tolerances), min_size=1, max_size=40),
+    offset=st.sampled_from([0.0, 0.25, -0.5]),
+)
+def test_grouping_matches_the_scan_on_sorted_rows(gaps, offset):
+    """Rows built from gaps at and around the tolerance, grouped along each
+    axis (rows E1, -E1 and E2 of one chunk) exactly as the scan groups them."""
+    gx, gy = np.array(gaps).T * TOL
+    xs = offset + np.cumsum(np.r_[0.0, gx])
+    ys = np.cumsum(np.r_[0.0, gy])
+    assert_grouped_like_the_scan(plane_measure(xs, ys), [E1, -E1, E2], TOL)
 
 
 # ---------------------------------------------------------------------------

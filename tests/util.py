@@ -87,6 +87,22 @@ def northwest_corner(ms, mt, clamp: float = 1e-15):
     return np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64), np.array(shipped)
 
 
+def running_representative_starts(values, tol: float) -> np.ndarray:
+    """Reference grouping of sorted values, one value at a time.
+
+    A value opens a class when it exceeds the value that opened the current
+    class by more than ``tol``.  Returns the class offsets, ending with
+    ``len(values)``.
+    """
+    starts = [0]
+    rep = values[0]
+    for k in range(1, len(values)):
+        if values[k] - rep > tol:
+            starts.append(k)
+            rep = values[k]
+    return np.array(starts + [len(values)], dtype=np.int64)
+
+
 def lift_by_entry(proj_source, proj_target, plan1d, floor: float = 1e-15):
     """Reference lift, one 1D entry at a time.
 
