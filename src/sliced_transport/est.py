@@ -23,8 +23,16 @@ in a fixed order, every other step works within one slice's row, and each
 slice's cost sums its own entries.
 
 Aggregation is a deterministic fold: contributions are merged on (i, j)
-keys in slice order, then summed left to right per key, so results are
-reproducible bit for bit.
+keys in slice order, and each key's mass is its first contribution plus
+numpy's pairwise sum of the rest (``np.add.reduceat``).  The grouping of
+that sum depends only on the slice order and the count of contributions,
+so results are reproducible bit for bit.  A key whose mass underflows to
+0 (a subnormal slice weight) is dropped.
+
+Memory follows the plan, not the slice count: the merge holds the lifted
+entries once as keys and masses plus one sort order, and hands its sorted,
+unique keys to the plan without a second sort or copy.  ``min_swgg`` keeps
+only the cheapest slice's entries seen so far.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InstanceTooLarge, TransportError
-from .lifting import _check_pair, _chunks
-from .measures import DiscreteMeasure, TransportPlan, _readonly
+from .lifting import _check_costs, _check_pair, _chunks
+from .measures import DiscreteMeasure, TransportPlan, _readonly, _trusted
 from .slicing import DEFAULT_GROUPING_TOL, UNIT_TOL, _check_directions, _check_tol
 
 WEIGHT_SUM_TOL = 1e-12
@@ -89,6 +97,29 @@ class EstResult:
     slice_weights: np.ndarray
 
 
+def _check_run(source, target, directions, p, grouping_tol) -> np.ndarray:
+    """Check the inputs of one run; return the checked directions."""
+    _check_pair(source, target, p)
+    directions = _check_directions(directions, source.dim)
+    _check_tol(grouping_tol)
+    if len(source) * len(target) * directions.shape[0] > np.iinfo(np.int64).max:
+        raise InstanceTooLarge("n * m * L exceeds the int64 range of the merge keys")
+    return directions
+
+
+def _plan(n: int, m: int, key: np.ndarray, mass: np.ndarray) -> TransportPlan:
+    """The plan of the increasing, unique keys ``i * m + j`` and their masses.
+
+    Entries whose mass underflowed to 0 are dropped.  The arrays are the
+    plan's own: nothing is checked, sorted or copied again.
+    """
+    keep = mass > 0
+    if not keep.all():
+        key, mass = key[keep], mass[keep]
+    i, j = np.divmod(key, m)
+    return _trusted(TransportPlan, n, m, i, j, mass)
+
+
 # An overflowing cost is reported once, as the TransportError below.
 @np.errstate(over="ignore")
 def _run(source, target, directions, p, grouping_tol, weigh):
@@ -98,12 +129,8 @@ def _run(source, target, directions, p, grouping_tol, weigh):
     weighed.  Returns the merged plan, the per-slice costs and the slice
     weights; slices of weight 0 add nothing to the plan.
     """
-    _check_pair(source, target, p)
-    directions = _check_directions(directions, source.dim)
-    _check_tol(grouping_tol)
+    directions = _check_run(source, target, directions, p, grouping_tol)
     count, size = directions.shape[0], len(target)
-    if len(source) * size * count > np.iinfo(np.int64).max:
-        raise InstanceTooLarge("n * m * L exceeds the int64 range of the merge keys")
     costs = np.empty(count)
     blocks = []
     for slices, bounds, i, j, mass, block_costs in _chunks(
@@ -116,26 +143,23 @@ def _run(source, target, directions, p, grouping_tol, weigh):
         key *= count
         key += np.repeat(slices, np.diff(bounds))
         blocks.append((slices, bounds, key, mass))
-    if not np.isfinite(costs).all():
-        raise TransportError(f"slice costs overflow: |x - y|**p exceeds the float range at p={p!r}")
+    _check_costs(costs, p)
     weights = weigh(costs)
-    # Each full-size array is dropped once merged, so at most three arrays
-    # of all entries are alive at a time.
-    keys, masses, scales = [], [], []
+    keys, masses = [], []
     for slices, bounds, key, mass in blocks:
-        for k, lo, hi in zip(slices, bounds[:-1], bounds[1:]):
-            if weights[k] != 0.0:
-                keys.append(key[lo:hi])
-                masses.append(mass[lo:hi])
-                scales.append(weights[k])
+        scale = np.repeat(weights[slices], np.diff(bounds))
+        mass *= scale
+        if not scale.all():
+            keep = scale != 0
+            key, mass = key[keep], mass[keep]
+        keys.append(key)
+        masses.append(mass)
+    # Each array of all entries is dropped as soon as it is used, so at
+    # most four are alive at a time: keys, masses, the order and a gather.
     del blocks
     key = np.concatenate(keys)
     del keys
     mass = np.concatenate(masses)
-    at = 0
-    for part, scale in zip(masses, scales):
-        mass[at : at + part.shape[0]] *= scale
-        at += part.shape[0]
     del masses
     order = np.argsort(key)
     key = key[order]
@@ -143,10 +167,10 @@ def _run(source, target, directions, p, grouping_tol, weigh):
     del order
     key //= count
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    mass = np.add.reduceat(mass, starts)
     key = key[starts]
-    plan = TransportPlan(len(source), size, key // size, key % size,
-                         np.add.reduceat(mass, starts))
-    return plan, costs, weights
+    del starts
+    return _plan(len(source), size, key, mass), costs, weights
 
 
 def _fold_distance(weights: np.ndarray, costs: np.ndarray, p: float) -> float:
@@ -238,9 +262,23 @@ def min_swgg(
     Ties break toward the lowest slice index.  Equals the tau -> infinity
     limit of the tempered plan when the minimum cost is unique.
     """
-    plan, costs, _ = _run(
-        source, target, directions, p, grouping_tol,
-        lambda costs: (np.arange(costs.shape[0]) == np.argmin(costs)).astype(float),
-    )
-    best = int(np.argmin(costs))
-    return best, plan, float(costs[best])
+    directions = _check_run(source, target, directions, p, grouping_tol)
+    size = len(target)
+    costs = np.empty(directions.shape[0])
+    best = None
+    with np.errstate(over="ignore"):
+        for slices, bounds, i, j, mass, block_costs in _chunks(
+            source, target, directions, p, grouping_tol
+        ):
+            costs[slices] = block_costs
+            k = int(np.argmin(block_costs))
+            # A chunk yields its grouped slices after its other ones, so a
+            # tie goes to the lower index, not to the earlier block.
+            if best is None or (block_costs[k], slices[k]) < (costs[best], best):
+                best, lo, hi = int(slices[k]), bounds[k], bounds[k + 1]
+                entries = (i[lo:hi] * size + j[lo:hi], mass[lo:hi].copy())
+            del i, j, mass
+    _check_costs(costs, p)
+    key, mass = entries
+    order = np.argsort(key)
+    return best, _plan(len(source), size, key[order], mass[order]), float(costs[best])

@@ -18,7 +18,7 @@ from .errors import TransportError
 from .measures import DiscreteMeasure, TransportPlan, make_measure
 
 # Plan rows formatted per write.
-PLAN_CSV_ROWS = 32768
+PLAN_CSV_ROWS = 8192
 
 
 def _fmt(x: float) -> str:
@@ -53,26 +53,27 @@ def write_measure_csv(measure: DiscreteMeasure, path) -> None:
 
 def read_measure_csv(path) -> DiscreteMeasure:
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise TransportError(f"{path}: empty measure file")
-    header = [c.strip() for c in rows[0]]
-    expected = ["w"] + [f"x{k}" for k in range(1, len(header))]
-    if header != expected:
-        raise TransportError(f"{path}: bad header {header!r}, expected w,x1,...,xd")
     weights = []
     atoms = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise TransportError(f"{path}:{lineno}: expected {len(header)} fields")
-        try:
-            weights.append(float(row[0]))
-            atoms.append([float(c) for c in row[1:]])
-        except ValueError as exc:
-            raise TransportError(f"{path}:{lineno}: {exc}") from None
+    with path.open(newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            raise TransportError(f"{path}: empty measure file")
+        header = [c.strip() for c in header]
+        expected = ["w"] + [f"x{k}" for k in range(1, len(header))]
+        if header != expected:
+            raise TransportError(f"{path}: bad header {header!r}, expected w,x1,...,xd")
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise TransportError(f"{path}:{lineno}: expected {len(header)} fields")
+            try:
+                weights.append(float(row[0]))
+                atoms.append([float(c) for c in row[1:]])
+            except ValueError as exc:
+                raise TransportError(f"{path}:{lineno}: {exc}") from None
     return _measure_from_raw(atoms, weights)
 
 
@@ -135,22 +136,23 @@ def write_plan_csv(plan: TransportPlan, path) -> None:
 def read_plan_csv(path, source_size: int | None = None, target_size: int | None = None) -> TransportPlan:
     """Read a plan; sizes default to one past the largest index seen."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["i", "j", "mass"]:
-        raise TransportError(f"{path}: expected header i,j,mass")
     ii, jj, mm = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise TransportError(f"{path}:{lineno}: expected 3 fields")
-        try:
-            ii.append(int(row[0]))
-            jj.append(int(row[1]))
-            mm.append(float(row[2]))
-        except ValueError as exc:
-            raise TransportError(f"{path}:{lineno}: {exc}") from None
+    with path.open(newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None or [c.strip() for c in header] != ["i", "j", "mass"]:
+            raise TransportError(f"{path}: expected header i,j,mass")
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise TransportError(f"{path}:{lineno}: expected 3 fields")
+            try:
+                ii.append(int(row[0]))
+                jj.append(int(row[1]))
+                mm.append(float(row[2]))
+            except ValueError as exc:
+                raise TransportError(f"{path}:{lineno}: {exc}") from None
     if not ii:
         raise TransportError(f"{path}: plan has no entries")
     try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ClassMismatch, DimensionMismatch, MassImbalance
+from .errors import ClassMismatch, DimensionMismatch, MassImbalance, TransportError
 from .measures import DiscreteMeasure, TransportPlan, _check_p, _plan_costs
 from .slicing import (
     DEFAULT_GROUPING_TOL,
@@ -44,6 +44,11 @@ def _check_pair(source: DiscreteMeasure, target: DiscreteMeasure, p: float) -> N
     if abs(float(source.weights.sum()) - float(target.weights.sum())) > MASS_BALANCE_TOL:
         raise MassImbalance("source and target carry different total mass")
     _check_p(p)
+
+
+def _check_costs(costs: np.ndarray, p: float) -> None:
+    if not np.isfinite(costs).all():
+        raise TransportError(f"slice costs overflow: |x - y|**p exceeds the float range at p={p!r}")
 
 
 def _layout(proj: ProjectedMeasure):
@@ -164,10 +169,13 @@ def lift_for_direction(
 
     Returns the lifted plan together with its ambient cost
     ``plan_cost(plan, source, target, p)``, the slice's contribution to the
-    sliced distance.
+    sliced distance.  A cost that overflows the float range raises
+    TransportError.
     """
     _check_pair(source, target, p)
     _check_tol(grouping_tol)
     directions = _check_directions(np.asarray(direction, dtype=float).reshape(1, -1), source.dim)
-    ((_, _, i, j, mass, costs),) = _chunks(source, target, directions, p, grouping_tol)
+    with np.errstate(over="ignore"):
+        ((_, _, i, j, mass, costs),) = _chunks(source, target, directions, p, grouping_tol)
+    _check_costs(costs, p)
     return TransportPlan(len(source), len(target), i, j, mass), float(costs[0])

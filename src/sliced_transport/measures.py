@@ -32,6 +32,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _trusted(cls, *values):
+    """A frozen dataclass instance from fields already known to be valid.
+
+    Internal constructors use this to skip ``__post_init__``: no checks and
+    no copies; array fields are marked read-only in place, so they must not
+    be shared with a caller.
+    """
+    obj = object.__new__(cls)
+    for field, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, field, _readonly(value) if isinstance(value, np.ndarray) else value)
+    return obj
+
+
 def _check_p(p: float) -> None:
     if not 1 < p < np.inf:
         raise TransportError(f"p must be a finite number > 1, got {p!r}")
@@ -133,7 +146,8 @@ class TransportPlan:
     lexicographically by (i, j), with strictly positive masses and at most
     one entry per index pair.  The type itself does not promise that the
     marginals match any particular measure; use :func:`validate_coupling`
-    for that.
+    for that.  Construction checks and sorts the entries; the solvers,
+    whose entries are canonical already, build plans with ``_trusted``.
     """
 
     source_size: int
@@ -193,7 +207,8 @@ def plan_cost(
 ) -> float:
     """Transport cost (sum of mass * |x_i - y_j|^p) ** (1/p) of a plan.
 
-    Requires p > 1.  The sum runs over the plan's sparse entries only.
+    Requires p > 1.  The sum runs over the plan's sparse entries only.  A
+    cost that overflows the float range raises TransportError.
     """
     _check_p(p)
     if plan.source_size != len(source) or plan.target_size != len(target):
@@ -201,7 +216,11 @@ def plan_cost(
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimensions differ")
     bounds = (0, len(plan))
-    return float(_plan_costs(source.atoms, target.atoms, plan.i, plan.j, plan.mass, p, bounds)[0])
+    with np.errstate(over="ignore"):
+        cost = float(_plan_costs(source.atoms, target.atoms, plan.i, plan.j, plan.mass, p, bounds)[0])
+    if not cost < np.inf:
+        raise TransportError(f"plan cost overflows: |x - y|**p exceeds the float range at p={p!r}")
+    return cost
 
 
 def _plan_costs(x: np.ndarray, y: np.ndarray, i, j, mass, p: float, bounds) -> np.ndarray:

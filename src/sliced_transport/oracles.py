@@ -107,6 +107,7 @@ def wasserstein_1d(u_positions, u_weights, v_positions, v_weights, p: float = 2.
 
     Merges the cumulative-mass breakpoints of both measures and integrates
     |F_u^{-1} - F_v^{-1}|^p over the unit mass interval segment by segment.
+    Raises TransportError when that integral overflows the float range.
     """
     _check_p(p)
     u_pos = np.asarray(u_positions, dtype=float).ravel()
@@ -135,8 +136,11 @@ def wasserstein_1d(u_positions, u_weights, v_positions, v_weights, p: float = 2.
     widths = np.diff(np.concatenate(([0.0], levels)))
     iu = np.minimum(np.searchsorted(cu, levels, side="left"), cu.size - 1)
     iv = np.minimum(np.searchsorted(cv, levels, side="left"), cv.size - 1)
-    gaps = np.abs(u_sorted[iu] - v_sorted[iv])
-    total = float(np.sum(widths * gaps**p))
+    with np.errstate(over="ignore"):
+        gaps = np.abs(u_sorted[iu] - v_sorted[iv])
+        total = float(np.sum(widths * gaps**p))
+    if not total < np.inf:
+        raise TransportError(f"1D costs overflow: |x - y|**p exceeds the float range at p={p!r}")
     return max(total, 0.0) ** (1.0 / p)
 
 
@@ -170,7 +174,9 @@ def sinkhorn(
     costs = _pairwise_pth_costs(source, target, p)
     a = source.weights
     b = target.weights
-    log_kernel = -costs / lam
+    # cost / lam may overflow to -inf; the dead-kernel check below handles it.
+    with np.errstate(over="ignore"):
+        log_kernel = -costs / lam
     row_dead = np.all(np.isneginf(log_kernel), axis=1)
     col_dead = np.all(np.isneginf(log_kernel), axis=0)
     if row_dead.any() or col_dead.any():

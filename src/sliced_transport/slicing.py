@@ -29,7 +29,7 @@ from .errors import (
     NonUnitDirection,
     TransportError,
 )
-from .measures import DiscreteMeasure, _check_p, _readonly
+from .measures import DiscreteMeasure, _check_p, _readonly, _trusted
 
 # Direction vectors must be unit length within this tolerance.
 UNIT_TOL = 1e-12
@@ -198,8 +198,15 @@ def _sort_rows(atoms: np.ndarray, directions: np.ndarray, grouping_tol: float):
     of the module docstring (gap compare, span compare, then the scan).
     """
     proj = _projections(atoms, directions)
-    order = np.argsort(proj, axis=1, kind="stable")
+    # Distinct values have one sorted order, so the default (unstable,
+    # vectorized) sort gives the stable order unless a row holds a tie;
+    # only those rows are sorted again, stably.
+    order = np.argsort(proj, axis=1)
     values = np.take_along_axis(proj, order, axis=1)
+    tied = np.flatnonzero(~(values[:, 1:] > values[:, :-1]).all(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(proj[tied], axis=1, kind="stable")
+        values[tied] = np.take_along_axis(proj[tied], order[tied], axis=1)
     tol = grouping_tol * np.maximum(np.maximum(1.0, -values[:, 0]), values[:, -1])
     opens = np.ones(values.shape, dtype=bool)
     opens[:, 1:] = values[:, 1:] - values[:, :-1] > tol[:, None]
@@ -227,14 +234,16 @@ def project(
 
     Atoms are sorted by projected value (original index as tie-break) and
     grouped by the running-representative rule of the module docstring.
+    The result is valid by construction, so it skips the checks that a
+    user-built ``ProjectedMeasure`` runs.
     """
     theta = _check_directions(np.asarray(direction, dtype=float).reshape(1, -1), measure.dim)
     _check_tol(grouping_tol)
     (order,), (values,), (opens,) = _sort_rows(measure.atoms, theta, grouping_tol)
     weights = measure.weights[order]
     heads = np.flatnonzero(opens)
-    return ProjectedMeasure(values[heads], np.add.reduceat(weights, heads), order,
-                            np.append(heads, len(order)), weights)
+    return _trusted(ProjectedMeasure, values[heads], np.add.reduceat(weights, heads), order,
+                    np.append(heads, len(order)), weights)
 
 
 def _monotone(ms: np.ndarray, mt: np.ndarray):

@@ -1,6 +1,7 @@
 """Slice aggregation: averaged plans, distances, temperature, min-slice."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,11 +19,14 @@ from sliced_transport import (
     make_measure,
     min_swgg,
     plan_cost,
+    product_coupling,
     sample_sphere,
     sigma_tau_weights,
     validate_coupling,
 )
 from sliced_transport import lifting
+from sliced_transport.measures import TransportPlan
+from sliced_transport.slicing import ProjectedMeasure, project
 from util import adversarial_pair, random_pair, worked_example
 
 
@@ -142,15 +146,23 @@ def test_tempered_rejects_bad_tau_by_name(tau):
         sigma_tau_weights(np.array([1.0, 2.0]), tau)
 
 
-@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+OVERFLOWING = {
+    **ENTRY_POINTS,
+    "lift_for_direction": lambda mu, nu, dirs, p: lift_for_direction(mu, nu, dirs[0], p=p),
+    "plan_cost": lambda mu, nu, dirs, p: plan_cost(product_coupling(mu, nu), mu, nu, p),
+}
+
+
+@pytest.mark.parametrize("entry", list(OVERFLOWING))
 def test_overflowing_costs_raise_a_typed_error(entry):
     # |x - y|**2000 overflows for atoms more than ~1.43 apart; the overflow
     # is reported once, as the error, not as a numpy warning.
     mu, nu = gaussian_pair(size=20, dim=2, shift=3.0, seed=0)
+    message = "plan cost overflows" if entry == "plan_cost" else "slice costs overflow"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(TransportError, match=r"^slice costs overflow: .* at p=2000\.0$"):
-            ENTRY_POINTS[entry](mu, nu, sample_sphere(8, 2, 0), p=2000.0)
+        with pytest.raises(TransportError, match=rf"^{message}: .* at p=2000\.0$"):
+            OVERFLOWING[entry](mu, nu, sample_sphere(8, 2, 0), p=2000.0)
 
 
 def test_est_worked_example_plan():
@@ -244,6 +256,109 @@ def test_min_swgg_picks_argmin():
     assert best == int(np.argmin(costs))
     assert cost == costs[best]
     assert validate_coupling(plan, mu, nu)[0]
+
+
+def test_min_swgg_tie_goes_to_the_lowest_index_across_blocks():
+    # Along e2 the two target atoms tie, so slice 0 is grouped and comes
+    # out of its chunk after the singleton slice 1; both cost exactly 1.
+    mu = make_measure([(0.0, 0.0)], [1.0])
+    nu = make_measure([(1.0, 0.0), (-1.0, 0.0)], [0.5, 0.5])
+    dirs = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    assert [lift_for_direction(mu, nu, d)[1] for d in dirs] == [1.0, 1.0, 1.0]
+    best, plan, cost = min_swgg(mu, nu, dirs)
+    assert (best, cost, plan.entries) == (0, 1.0, [(0, 0, 0.5), (0, 1, 0.5)])
+
+
+def subnormal_weight_case():
+    """A pair and directions whose second-cheapest slice gets a subnormal
+    tempered weight: weight * mass underflows to 0 on some entries."""
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
+    y[:, 0] += 3.0
+    mu, nu = make_measure(x, np.full(40, 1 / 40)), make_measure(y, np.full(40, 1 / 40))
+    dirs = sample_sphere(8, 2, 1)
+    low, second = np.sort(est_plan_tempered(mu, nu, dirs).per_slice_costs ** 2)[:2]
+    return mu, nu, dirs, 744 / (second - low)
+
+
+@pytest.mark.parametrize("entry", ["est_plan_tempered", "est_plan"])
+def test_subnormal_slice_weight_drops_underflowed_entries(entry):
+    mu, nu, dirs, tau = subnormal_weight_case()
+    if entry == "est_plan_tempered":
+        res = est_plan_tempered(mu, nu, dirs, tau=tau)
+        assert 0.0 < np.sort(res.slice_weights)[-2] < np.finfo(float).tiny
+    else:
+        weights = np.full(8, 1 / 7)
+        weights[0] = 5e-324
+        res = est_plan(mu, nu, SliceSet(dirs, weights))
+    assert (res.plan.mass > 0).all()
+    ok, dev = validate_coupling(res.plan, mu, nu)
+    assert ok and dev <= 1e-9
+
+
+@pytest.mark.parametrize("regime", ["exact-ties", "near-ties", "duplicates", "pareto"])
+def test_internal_objects_equal_validated_rebuilds(regime):
+    # project and the solvers build their results without the checks;
+    # rebuilding them through the checking constructors changes nothing.
+    def same(a, b):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes() and not a.flags.writeable
+
+    for seed in range(10):
+        mu, nu, theta = adversarial_pair(regime, seed)
+        for measure in (mu, nu):
+            proj = project(measure, theta)
+            fields = (proj.class_values, proj.class_masses, proj.member_indices,
+                      proj.class_starts, proj.member_weights)
+            rebuilt = ProjectedMeasure(*fields)
+            assert all(same(a, getattr(rebuilt, f)) for a, f in zip(fields, proj.__dataclass_fields__))
+        dirs = np.vstack([theta, sample_sphere(6, 2, seed)])
+        plans = [est_plan(mu, nu, SliceSet.uniform(dirs)).plan,
+                 est_plan_tempered(mu, nu, dirs, tau=50.0).plan, min_swgg(mu, nu, dirs)[1]]
+        for plan in plans:
+            rebuilt = TransportPlan(len(mu), len(nu), plan.i, plan.j, plan.mass)
+            assert all(same(getattr(plan, f), getattr(rebuilt, f)) for f in ("i", "j", "mass"))
+
+
+def test_user_built_projected_measures_are_still_checked():
+    # project skips the checks; a ProjectedMeasure built by hand runs them
+    # (test_measures covers the same for TransportPlan).
+    mu, _, theta = adversarial_pair("exact-ties", 1)
+    proj = project(mu, theta)
+    good = [np.array(a) for a in (proj.class_values, proj.class_masses, proj.member_indices,
+                                  proj.class_starts, proj.member_weights)]
+    for k, broken in ((0, good[0][::-1]), (1, good[1] * 2), (2, np.zeros_like(good[2])),
+                      (3, good[3][::-1])):
+        fields = list(good)
+        fields[k] = broken
+        with pytest.raises(TransportError):
+            ProjectedMeasure(*fields)
+
+
+def test_est_plan_peak_memory_is_within_twice_the_plan():
+    mu, nu = gaussian_pair(size=2000, dim=2, shift=1.0, seed=0)
+    slices = SliceSet.uniform(sample_sphere(32, 2, 1))
+    tracemalloc.start()
+    try:
+        plan = est_plan(mu, nu, slices).plan
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (plan.i.nbytes + plan.j.nbytes + plan.mass.nbytes)
+
+
+def test_min_swgg_peak_memory_does_not_grow_with_the_slice_count():
+    # 16 slices fill one chunk at n + m = 512; 256 slices take sixteen.
+    mu, nu = gaussian_pair(size=256, dim=2, shift=1.0, seed=0)
+    peaks = []
+    for count in (16, 256):
+        directions = sample_sphere(count, 2, 1)
+        tracemalloc.start()
+        try:
+            min_swgg(mu, nu, directions)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("regime", ["exact-ties", "near-ties", "duplicates", "pareto"])

@@ -187,18 +187,25 @@ def test_sinkhorn_degenerate_kernel_falls_back_to_product():
     # the product coupling comes back with an infinite reported error.
     mu = make_measure([(0.0,), (1.0,)], [0.5, 0.5])
     nu = make_measure([(1e100,), (2e100,)], [0.5, 0.5])
-    plan, err = sinkhorn(mu, nu, lam=1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan, err = sinkhorn(mu, nu, lam=1e-200)
     assert err == np.inf
     expect = product_coupling(mu, nu)
     assert plan.entries == expect.entries
 
 
-@pytest.mark.parametrize("solver", [wasserstein_exact, sinkhorn])
+def wasserstein_1d_first_axis(mu, nu, p):
+    return wasserstein_1d(mu.atoms[:, 0], mu.weights, nu.atoms[:, 0], nu.weights, p=p)
+
+
+@pytest.mark.parametrize("solver", [wasserstein_exact, sinkhorn, wasserstein_1d_first_axis])
 def test_overflowing_costs_raise_a_typed_error(solver):
     mu, nu = gaussian_pair(size=20, dim=2, shift=3.0, seed=0)
+    costs = "1D" if solver is wasserstein_1d_first_axis else "pairwise"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(TransportError, match=r"^pairwise costs overflow: .* at p=2000\.0$"):
+        with pytest.raises(TransportError, match=rf"^{costs} costs overflow: .* at p=2000\.0$"):
             solver(mu, nu, p=2000.0)
 
 

@@ -121,6 +121,10 @@ def assert_grouped_like_the_scan(measure, directions, grouping_tol=DEFAULT_GROUP
     and the number of classes that opened after a gap within the tolerance."""
     directions = np.asarray(directions, dtype=float)
     order, values, opens = _sort_rows(measure.atoms, directions, grouping_tol)
+    proj_rows = _projections(measure.atoms, directions)
+    stable = np.argsort(proj_rows, axis=1, kind="stable")
+    np.testing.assert_array_equal(order, stable)
+    assert values.tobytes() == np.take_along_axis(proj_rows, stable, axis=1).tobytes()
     inside_runs = 0
     for row, theta in enumerate(directions):
         tol = grouping_tol * max(1.0, -values[row, 0], values[row, -1])
@@ -189,6 +193,23 @@ def test_grouping_with_zero_tolerance_merges_exact_ties_only():
     opens, _ = assert_grouped_like_the_scan(plane_measure(xs, np.arange(6.0)), [E1, -E1, E2], 0.0)
     assert np.flatnonzero(opens[0]).tolist() == [0, 2, 3, 5]
     assert np.flatnonzero(opens[1]).tolist() == [0, 1, 3, 4]
+
+
+def test_sort_rows_keeps_the_stable_order_on_ties_signed_zeros_and_equal_rows():
+    # Rows with exact ties, +0.0 and -0.0 mixed (equal, but distinct bits),
+    # a row of all-equal values, and a long row of distinct values with a
+    # few ties; every row must come out in the stable order.
+    zeros = plane_measure([0.0, -0.0, 1.0, 0.0, -0.0, 1.0, -1.0, 0.0], [-0.0] * 8)
+    assert_grouped_like_the_scan(zeros, [E1, -E1, E2], 0.0)
+    assert_grouped_like_the_scan(zeros, [E1, -E1, E2])
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal(1000)
+    xs[rng.integers(0, 1000, 40)] = xs[rng.integers(0, 1000, 40)]
+    line = make_measure(xs[:, None], np.full(1000, 1e-3))
+    assert_grouped_like_the_scan(line, [[1.0], [-1.0]], 0.0)
+    assert_grouped_like_the_scan(line, [[1.0], [-1.0]])
+    distinct = plane_measure(rng.standard_normal(300), np.full(300, 2.0))
+    assert_grouped_like_the_scan(distinct, [E1, -E1, E2, sample_sphere(1, 2, 0)[0]])
 
 
 gap_in_tolerances = st.sampled_from([0.0, 1 + 2.0**-52, 1 - 2.0**-52, 1.0, 0.5, 2.0])
