@@ -13,6 +13,7 @@ import sliced_transport
 from sliced_transport import (
     est_plan_tempered,
     gaussian_pair,
+    interpolate,
     io,
     make_measure,
     plan_cost,
@@ -139,6 +140,23 @@ def test_interpolate_writes_frames(runner, pair_files, tmp_path):
     for name in files:
         frame = io.read_measure(out / name)
         assert frame.dim == mu.dim
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_interpolate_frames_match_library(runner, pair_files, tmp_path, fmt):
+    a, b, *_ = pair_files
+    out = tmp_path / "frames"
+    args = ["interpolate", a, b, str(out), "--steps", "4", "--slices", "8", "--seed", "5", "--format", fmt]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    mu, nu = io.read_measure(a), io.read_measure(b)
+    plan = est_plan_tempered(mu, nu, sample_sphere(8, mu.dim, 5)).plan
+    assert sorted(f.name for f in out.glob("t_*")) == [f"t_{k:03d}.{fmt}" for k in range(5)]
+    for k in range(5):
+        frame = io.read_measure(out / f"t_{k:03d}.{fmt}")
+        want = interpolate(plan, mu, nu, k / 4)
+        np.testing.assert_array_equal(frame.atoms, want.atoms)
+        np.testing.assert_array_equal(frame.weights, want.weights)
 
 
 def test_dimension_mismatch_exit_code(runner, tmp_path):

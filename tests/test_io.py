@@ -1,12 +1,15 @@
 """Round-trip and rejection behavior of the file formats."""
 
 import csv
+import json
+import tracemalloc
 from io import StringIO
 
 import numpy as np
 import pytest
 
 from sliced_transport import (
+    DiscreteMeasure,
     TransportError,
     TransportPlan,
     io,
@@ -33,6 +36,61 @@ def test_measure_json_round_trip_exact(tmp_path):
     back = io.read_measure_json(path)
     np.testing.assert_array_equal(mu.atoms, back.atoms)
     np.testing.assert_array_equal(mu.weights, back.weights)
+
+
+AWKWARD = [5e-324, -0.0, 1e300, 1e16, 1 / 3, 0.1, -2.5e-10]
+
+
+def awkward_measure(dim):
+    """Seven atoms; every coordinate column holds each awkward value once."""
+    atoms = np.stack([np.roll(AWKWARD, k) for k in range(dim)], axis=1)
+    weights = np.array([5e-324, 1 / 3, 0.1, 2.5e-10, 1e-16, 0.2, 0.0])
+    weights[-1] = 1.0 - weights.sum()
+    return DiscreteMeasure(atoms, weights)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 2])
+@pytest.mark.parametrize("dim", [1, 3, 5000])
+def test_measure_csv_bytes_match_csv_writer(tmp_path, monkeypatch, dim, rows_per_block):
+    measure = awkward_measure(dim)
+    if rows_per_block is not None:
+        monkeypatch.setattr(io, "_CSV_BLOCK_FIELDS", rows_per_block * (dim + 1))
+    elif dim == 5000:
+        # The default budget splits this measure into blocks, the last partial.
+        assert len(measure) % (io._CSV_BLOCK_FIELDS // (dim + 1)) != 0
+    path = tmp_path / "measure.csv"
+    io.write_measure_csv(measure, path)
+    want = StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["w"] + [f"x{k}" for k in range(1, dim + 1)])
+    for w, atom in zip(measure.weights, measure.atoms):
+        writer.writerow([format(float(x), ".17g") for x in (w, *atom)])
+    assert path.read_bytes() == want.getvalue().encode()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_measure_json_bytes_match_per_element_floats(tmp_path, dim):
+    measure = awkward_measure(dim)
+    path = tmp_path / "measure.json"
+    io.write_measure_json(measure, path)
+    want = json.dumps({
+        "weights": [float(w) for w in measure.weights],
+        "atoms": [[float(c) for c in atom] for atom in measure.atoms],
+    })
+    assert path.read_text() == want
+
+
+def test_measure_csv_memory_is_bounded_by_the_block(tmp_path):
+    # Formatting all 1M values at once would take tens of MiB.
+    rng = np.random.default_rng(0)
+    measure = make_measure(rng.standard_normal((2000, 500)), np.full(2000, 1 / 2000))
+    tracemalloc.start()
+    try:
+        io.write_measure_csv(measure, tmp_path / "wide.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_read_measure_dispatches_on_extension(tmp_path):
@@ -122,7 +180,7 @@ def test_plan_csv_round_trip(tmp_path):
 @pytest.mark.parametrize("rows_per_block", [None, 2])
 def test_plan_csv_bytes_match_csv_writer(tmp_path, monkeypatch, rows_per_block):
     if rows_per_block is not None:
-        monkeypatch.setattr(io, "PLAN_CSV_ROWS", rows_per_block)
+        monkeypatch.setattr(io, "_CSV_BLOCK_FIELDS", 3 * rows_per_block)
     plan = TransportPlan(3, 4, [0, 1, 2, 2], [3, 0, 2, 3], [5e-324, 1e-300, 1 / 3, 0.1])
     path = tmp_path / "plan.csv"
     io.write_plan_csv(plan, path)
