@@ -7,6 +7,7 @@ at one-dimensional prices.
 """
 
 from .applications import (
+    METHODS,
     EmbeddingMatrix,
     barycentric_projection,
     embedding_features,
@@ -16,6 +17,7 @@ from .applications import (
     least_squares_accuracy,
     lot_embed,
     reference_measure,
+    transport,
     two_class_task,
     weak_convergence_table,
 )
@@ -73,6 +75,7 @@ __all__ = [
     "InstanceTooLarge",
     "InvalidCoupling",
     "InvalidT",
+    "METHODS",
     "MassImbalance",
     "NonFiniteAtoms",
     "NonPositiveTotalMass",
@@ -106,6 +109,7 @@ __all__ = [
     "sigma_tau_weights",
     "sinkhorn",
     "solve_1d",
+    "transport",
     "two_class_task",
     "validate_coupling",
     "wasserstein_1d",

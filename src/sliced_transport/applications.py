@@ -6,6 +6,9 @@ collection of measures into vectors (one row per reference atom, each row
 the displacement of that atom's barycentric image).  Also the synthetic
 data generators and the weak-convergence experiment driver used by the
 command-line tool and the test suite.
+
+:func:`transport` is the one place a method name becomes a solver call:
+the CLI, the embeddings and the experiments all go through it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import est, oracles
 from .errors import DimensionMismatch, InvalidCoupling, InvalidT, TransportError
-from .est import est_plan_tempered
 from .measures import (
     DiscreteMeasure,
     TransportPlan,
@@ -25,13 +28,55 @@ from .measures import (
     product_coupling,
     validate_coupling,
 )
-from .oracles import sinkhorn, wasserstein_exact
 from .slicing import DEFAULT_GROUPING_TOL, sample_sphere
+
+# The paper's sliced plan, its cheapest single slice, and the two
+# reference solvers.
+METHODS = ("est", "min-swgg", "exact", "sinkhorn")
 
 # Plans fed into interpolation or barycentric projection may be approximate
 # couplings (entropic plans stop at a finite marginal error), so the gate
 # here is looser than the 1e-9 diagnostic in validate_coupling.
 APPLICATION_COUPLING_TOL = 1e-6
+
+
+def transport(
+    source: DiscreteMeasure,
+    target: DiscreteMeasure,
+    method: str = "est",
+    p: float = 2.0,
+    slices: int = 128,
+    tau: float = 0.0,
+    seed: int = 0,
+    lam: float = 1.0,
+    grouping_tol: float = DEFAULT_GROUPING_TOL,
+):
+    """Plan, distance and detail ``(plan, distance, detail)`` of a method in METHODS.
+
+    "est" averages the lifted plans over ``slices`` directions drawn with
+    ``seed``, tempered by ``tau``; its detail is the EstResult.  "min-swgg"
+    keeps the cheapest of those slices.  "exact" is the optimal plan.
+    "sinkhorn" is the entropic plan with regularizer ``lam``; its distance
+    is the plan's cost and its detail the marginal error.  A method ignores
+    the options it does not use; the detail is None where there is none.
+    """
+    if method not in METHODS:
+        raise TransportError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
+    # Solvers are looked up on their modules at call time, so a wrapper
+    # installed there (a tracer, a test spy) sees every call.
+    if method == "exact":
+        plan, dist = oracles.wasserstein_exact(source, target, p)
+        return plan, dist, None
+    if method == "sinkhorn":
+        plan, err = oracles.sinkhorn(source, target, p=p, lam=lam)
+        return plan, plan_cost(plan, source, target, p), err
+    directions = sample_sphere(slices, source.dim, seed)
+    if method == "min-swgg":
+        _, plan, cost = est.min_swgg(source, target, directions, p=p, grouping_tol=grouping_tol)
+        return plan, cost, None
+    res = est.est_plan_tempered(source, target, directions, p=p, tau=tau,
+                                grouping_tol=grouping_tol)
+    return res.plan, res.distance, res
 
 
 def _require_coupling(plan: TransportPlan, source: DiscreteMeasure, target: DiscreteMeasure) -> None:
@@ -70,8 +115,7 @@ def geodesic(
     p: float = 2.0,
 ) -> DiscreteMeasure:
     """Point at parameter t on the exact-plan displacement path."""
-    plan, _ = wasserstein_exact(source, target, p)
-    return interpolate(plan, source, target, t)
+    return interpolate(transport(source, target, "exact", p)[0], source, target, t)
 
 
 def barycentric_projection(
@@ -121,31 +165,15 @@ def lot_embed(
     tau: float = 0.0,
     seed: int = 0,
     lam: float = 1.0,
-    max_iters: int = 5000,
-    stop_tol: float = 1e-9,
     grouping_tol: float = DEFAULT_GROUPING_TOL,
 ) -> EmbeddingMatrix:
     """Embed a measure against a fixed reference via a transport plan.
 
-    ``method`` picks the plan: "est" (sliced plan over ``slices``
-    directions drawn with ``seed``, tempered by ``tau``), "exact" (the
-    optimal plan), or "sinkhorn" (entropic plan with regularizer ``lam``).
-    Row i of the result is the barycentric image of reference atom i minus
-    the atom itself.
+    The plan is :func:`transport`'s for ``method`` and the options.  Row i
+    of the result is the barycentric image of reference atom i minus the
+    atom itself.
     """
-    if reference.dim != measure.dim:
-        raise DimensionMismatch("reference and measure dimensions differ")
-    if method == "est":
-        directions = sample_sphere(slices, reference.dim, seed)
-        plan = est_plan_tempered(
-            reference, measure, directions, p=p, tau=tau, grouping_tol=grouping_tol
-        ).plan
-    elif method == "exact":
-        plan = wasserstein_exact(reference, measure, p)[0]
-    elif method == "sinkhorn":
-        plan = sinkhorn(reference, measure, p=p, lam=lam, max_iters=max_iters, stop_tol=stop_tol)[0]
-    else:
-        raise TransportError(f"unknown embedding method {method!r}")
+    plan = transport(reference, measure, method, p, slices, tau, seed, lam, grouping_tol)[0]
     rows = barycentric_projection(plan, reference, measure) - reference.atoms
     return EmbeddingMatrix(rows, len(reference), reference.dim)
 
@@ -235,8 +263,6 @@ def weak_convergence_table(
     seed: int = 0,
     p: float = 2.0,
     grouping_tol: float = DEFAULT_GROUPING_TOL,
-    sinkhorn_iters: int = 5000,
-    sinkhorn_tol: float = 1e-9,
 ) -> list[dict]:
     """Discrepancies between the displacement path and its endpoint.
 
@@ -245,23 +271,18 @@ def weak_convergence_table(
     plan costs (per lambda), and the independent-coupling cost against the
     endpoint.  One dict per t, keys named after the columns.
     """
-    plan_star, _ = wasserstein_exact(source, target, p)
-    directions = sample_sphere(slices, source.dim, seed)
+    plan_star = transport(source, target, "exact", p)[0]
     rows: list[dict] = []
     for t in ts:
         mu_t = interpolate(plan_star, source, target, float(t))
         row: dict = {"t": float(t)}
         for tau in taus:
-            res = est_plan_tempered(
-                mu_t, target, directions, p=p, tau=tau, grouping_tol=grouping_tol
-            )
-            row[f"est_tau_{tau:g}"] = res.distance
-        row["w_exact"] = wasserstein_exact(mu_t, target, p)[1]
+            row[f"est_tau_{tau:g}"] = transport(
+                mu_t, target, "est", p, slices, tau, seed, grouping_tol=grouping_tol
+            )[1]
+        row["w_exact"] = transport(mu_t, target, "exact", p)[1]
         for lam in lambdas:
-            plan_s, _ = sinkhorn(
-                mu_t, target, p=p, lam=lam, max_iters=sinkhorn_iters, stop_tol=sinkhorn_tol
-            )
-            row[f"sinkhorn_lam_{lam:g}"] = plan_cost(plan_s, mu_t, target, p)
+            row[f"sinkhorn_lam_{lam:g}"] = transport(mu_t, target, "sinkhorn", p, lam=lam)[1]
         row["product"] = plan_cost(product_coupling(mu_t, target), mu_t, target, p)
         rows.append(row)
     return rows

@@ -20,19 +20,21 @@ import numpy as np
 
 from . import io
 from .applications import (
+    METHODS,
+    embedding_features,
     gaussian_pair,
     interpolate,
     least_squares_accuracy,
-    lot_embed,
     reference_measure,
+    transport,
     two_class_task,
     weak_convergence_table,
 )
 from .errors import TransportError
-from .est import _check_tau, est_plan_tempered, min_swgg
-from .measures import DiscreteMeasure, _check_p, make_measure, plan_cost
-from .oracles import _check_lam, sinkhorn, wasserstein_exact
-from .slicing import _check_tol, sample_sphere
+from .est import _check_tau
+from .measures import DiscreteMeasure, _check_p, make_measure
+from .oracles import _check_lam
+from .slicing import _check_tol
 
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
@@ -103,27 +105,6 @@ def _write_meta(path: Path, payload: dict) -> None:
         _fail(EXIT_UNWRITABLE, f"cannot write {path}: {exc}")
 
 
-def _compute_plan(mu, nu, method: str, cfg: RunConfig, lam: float):
-    """Plan plus per-slice details (None for the unsliced methods)."""
-    if method == "est":
-        directions = sample_sphere(cfg.slices, mu.dim, cfg.seed)
-        res = est_plan_tempered(
-            mu, nu, directions, p=cfg.p, tau=cfg.tau, grouping_tol=cfg.grouping_tol
-        )
-        return res.plan, res.distance, res.per_slice_costs, res.slice_weights, None
-    if method == "min-swgg":
-        directions = sample_sphere(cfg.slices, mu.dim, cfg.seed)
-        idx, plan, cost = min_swgg(mu, nu, directions, p=cfg.p, grouping_tol=cfg.grouping_tol)
-        return plan, cost, None, None, None
-    if method == "exact":
-        plan, dist = wasserstein_exact(mu, nu, cfg.p)
-        return plan, dist, None, None, None
-    if method == "sinkhorn":
-        plan, err = sinkhorn(mu, nu, p=cfg.p, lam=lam)
-        return plan, plan_cost(plan, mu, nu, cfg.p), None, None, err
-    raise AssertionError(method)
-
-
 config_options = [
     click.option("--p", "p", type=float, default=2.0, show_default=True, help="Cost exponent (> 1)."),
     click.option("--slices", type=int, default=128, show_default=True, help="Number of directions L."),
@@ -157,7 +138,7 @@ lambda_option = click.option(
     help="Entropic regularizer.",
 )
 method_option = click.option(
-    "--method", type=click.Choice(["est", "min-swgg", "exact", "sinkhorn"]), default="est",
+    "--method", type=click.Choice(METHODS), default="est",
     show_default=True,
 )
 
@@ -166,10 +147,6 @@ def _with_config(fn):
     for opt in reversed(config_options):
         fn = opt(fn)
     return fn
-
-
-def _cfg(p, slices, tau, seed, grouping_tol, fmt) -> RunConfig:
-    return RunConfig(p=p, slices=slices, tau=tau, seed=seed, grouping_tol=grouping_tol, fmt=fmt)
 
 
 class _Main(click.Group):
@@ -196,22 +173,24 @@ def main() -> None:
 @click.option("--per-slice", is_flag=True, help="Also print slice index, cost, weight rows.")
 def distance(source, target, p, slices, tau, seed, grouping_tol, fmt, method, lam, per_slice):
     """Print the distance between two measure files (12 significant digits)."""
-    cfg = _cfg(p, slices, tau, seed, grouping_tol, fmt)
+    RunConfig(p, slices, tau, seed, grouping_tol, fmt)  # checks the option values
     mu, nu = _load_pair(source, target)
-    _plan, dist, costs, weights, _err = _compute_plan(mu, nu, method, cfg, lam)
+    _plan, dist, detail = transport(mu, nu, method, p, slices, tau, seed, lam, grouping_tol)
+    # Only the averaged plan has per-slice costs and weights.
+    rows = []
+    if per_slice and method == "est":
+        rows = list(enumerate(zip(detail.per_slice_costs, detail.slice_weights)))
     if fmt == "json":
-        payload: dict = {"distance": float(dist), "method": method, "seed": cfg.seed}
-        if per_slice and costs is not None:
+        payload: dict = {"distance": float(dist), "method": method, "seed": seed}
+        if rows:
             payload["per_slice"] = [
-                {"slice": k, "cost": float(c), "weight": float(w)}
-                for k, (c, w) in enumerate(zip(costs, weights))
+                {"slice": k, "cost": float(c), "weight": float(w)} for k, (c, w) in rows
             ]
         click.echo(json.dumps(payload))
         return
     click.echo(f"{dist:.12g}")
-    if per_slice and costs is not None:
-        for k, (c, w) in enumerate(zip(costs, weights)):
-            click.echo(f"{k},{c:.17g},{w:.17g}")
+    for k, (c, w) in rows:
+        click.echo(f"{k},{c:.17g},{w:.17g}")
 
 
 @main.command()
@@ -223,9 +202,9 @@ def distance(source, target, p, slices, tau, seed, grouping_tol, fmt, method, la
 @lambda_option
 def plan(source, target, out_file, p, slices, tau, seed, grouping_tol, fmt, method, lam):
     """Compute a transport plan and write it as CSV (i,j,mass)."""
-    cfg = _cfg(p, slices, tau, seed, grouping_tol, fmt)
+    cfg = RunConfig(p, slices, tau, seed, grouping_tol, fmt)
     mu, nu = _load_pair(source, target)
-    result_plan, dist, _costs, _weights, err = _compute_plan(mu, nu, method, cfg, lam)
+    result_plan, dist, detail = transport(mu, nu, method, p, slices, tau, seed, lam, grouping_tol)
     out_path = Path(out_file)
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -243,8 +222,8 @@ def plan(source, target, out_file, p, slices, tau, seed, grouping_tol, fmt, meth
     }
     if method == "sinkhorn":
         meta["lambda"] = lam
-        meta["marginal_error"] = float(err)
-        click.echo(f"marginal_error {err:.17g}")
+        meta["marginal_error"] = float(detail)
+        click.echo(f"marginal_error {detail:.17g}")
     _write_meta(out_path.with_suffix(out_path.suffix + ".meta.json"), meta)
 
 
@@ -258,10 +237,10 @@ def plan(source, target, out_file, p, slices, tau, seed, grouping_tol, fmt, meth
 @click.option("--steps", type=click.IntRange(min=1), default=10, show_default=True)
 def interpolate_cmd(source, target, out_dir, p, slices, tau, seed, grouping_tol, fmt, method, lam, steps):
     """Write steps+1 interpolated measures t_000 ... t_<steps>."""
-    cfg = _cfg(p, slices, tau, seed, grouping_tol, fmt)
+    cfg = RunConfig(p, slices, tau, seed, grouping_tol, fmt)
     mu, nu = _load_pair(source, target)
     out_path = _ensure_out_dir(out_dir)
-    result_plan, _dist, _costs, _weights, _err = _compute_plan(mu, nu, method, cfg, lam)
+    result_plan = transport(mu, nu, method, p, slices, tau, seed, lam, grouping_tol)[0]
     ext = "json" if fmt == "json" else "csv"
     try:
         for k in range(steps + 1):
@@ -323,30 +302,22 @@ def _experiment_temperature_sweep(out_path: Path, cfg: RunConfig, taus) -> None:
     n = 30
     mu = make_measure(rng.standard_normal((n, 2)), np.full(n, 1.0 / n))
     nu = make_measure(rng.standard_normal((2 * n, 2)) + [2.0, 0.0], np.full(2 * n, 0.5 / n))
-    directions = sample_sphere(cfg.slices, 2, cfg.seed)
     rows = []
     for tau in taus:
-        res = est_plan_tempered(
-            mu, nu, directions, p=cfg.p, tau=tau, grouping_tol=cfg.grouping_tol
-        )
-        rows.append([format(tau, ".17g"), format(res.distance, ".17g"), len(res.plan)])
+        plan, dist, _ = transport(mu, nu, "est", cfg.p, cfg.slices, tau, cfg.seed,
+                                  grouping_tol=cfg.grouping_tol)
+        rows.append([format(tau, ".17g"), format(dist, ".17g"), len(plan)])
     _write_csv_rows(out_path / "temperature_sweep.csv", ["tau", "distance", "entries"], rows)
 
 
 def _experiment_embed_bench(out_path: Path, cfg: RunConfig, lam: float) -> None:
     clouds, labels = two_class_task(seed=cfg.seed)
     ref = reference_measure(size=50, dim=2, seed=cfg.seed)
-    methods = [
-        ("est_tau0", {"method": "est", "tau": 0.0, "slices": cfg.slices, "seed": cfg.seed}),
-        ("est_tau1e6", {"method": "est", "tau": 1e6, "slices": cfg.slices, "seed": cfg.seed}),
-        ("exact", {"method": "exact"}),
-        (f"sinkhorn_lam{lam:g}", {"method": "sinkhorn", "lam": lam}),
-    ]
     rows = []
-    for name, kwargs in methods:
-        feats = np.stack(
-            [lot_embed(ref, cloud, p=cfg.p, **kwargs).rows.ravel() for cloud in clouds]
-        )
+    for name, method, tau in (("est_tau0", "est", 0.0), ("est_tau1e6", "est", 1e6),
+                              ("exact", "exact", 0.0), (f"sinkhorn_lam{lam:g}", "sinkhorn", 0.0)):
+        feats = embedding_features(ref, clouds, method=method, p=cfg.p, slices=cfg.slices, tau=tau,
+                                   seed=cfg.seed, lam=lam, grouping_tol=cfg.grouping_tol)
         rows.append([name, format(least_squares_accuracy(feats, labels), ".17g")])
     _write_csv_rows(out_path / "embed_bench.csv", ["method", "accuracy"], rows)
 
@@ -368,7 +339,7 @@ def experiment(name, out_dir, p, slices, tau, seed, grouping_tol, fmt, taus, lam
             EXIT_UNKNOWN_EXPERIMENT,
             f"unknown experiment {name!r}; known: {', '.join(KNOWN_EXPERIMENTS)}",
         )
-    cfg = _cfg(p, slices, tau, seed, grouping_tol, fmt)
+    cfg = RunConfig(p, slices, tau, seed, grouping_tol, fmt)
     out_path = _ensure_out_dir(out_dir)
     try:
         tau_list = [float(v) for v in taus.split(",") if v.strip()]

@@ -41,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InstanceTooLarge, TransportError
-from .lifting import _check_costs, _check_pair, _chunks
+from .errors import DimensionMismatch, TransportError
+from .lifting import _check_costs, _check_run, _chunks
 from .measures import DiscreteMeasure, TransportPlan, _readonly, _trusted
-from .slicing import DEFAULT_GROUPING_TOL, UNIT_TOL, _check_directions, _check_tol
+from .slicing import DEFAULT_GROUPING_TOL, _check_directions
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -59,13 +59,10 @@ class SliceSet:
     def __post_init__(self) -> None:
         directions = np.array(self.directions, dtype=float)
         weights = np.array(self.weights, dtype=float)
-        if directions.ndim != 2 or directions.shape[0] < 1:
-            raise DimensionMismatch("directions must form an (L, d) array")
+        # Any d will do: the rows only have to form an (L, d) array of unit vectors.
+        directions = _check_directions(directions, directions.shape[-1] if directions.ndim else 0)
         if weights.shape != (directions.shape[0],):
             raise DimensionMismatch("need one weight per direction")
-        norms = np.linalg.norm(directions, axis=1)
-        if not float(np.max(np.abs(norms - 1.0))) <= UNIT_TOL:
-            raise TransportError("every direction must be unit length within 1e-12")
         if np.any(weights < 0):
             raise TransportError("slice weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
@@ -95,16 +92,6 @@ class EstResult:
     distance: float
     per_slice_costs: np.ndarray
     slice_weights: np.ndarray
-
-
-def _check_run(source, target, directions, p, grouping_tol) -> np.ndarray:
-    """Check the inputs of one run; return the checked directions."""
-    _check_pair(source, target, p)
-    directions = _check_directions(directions, source.dim)
-    _check_tol(grouping_tol)
-    if len(source) * len(target) * directions.shape[0] > np.iinfo(np.int64).max:
-        raise InstanceTooLarge("n * m * L exceeds the int64 range of the merge keys")
-    return directions
 
 
 def _plan(n: int, m: int, key: np.ndarray, mass: np.ndarray) -> TransportPlan:
@@ -243,6 +230,7 @@ def est_plan_tempered(
     per-slice plans.  tau = 0 reproduces :func:`est_plan` with uniform
     weights bit for bit.
     """
+    _check_tau(tau)
     plan, costs, weights = _run(
         source, target, directions, p, grouping_tol,
         lambda costs: sigma_tau_weights(costs**p, tau),

@@ -14,7 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ClassMismatch, DimensionMismatch, MassImbalance, TransportError
+from .errors import (
+    ClassMismatch,
+    DimensionMismatch,
+    InstanceTooLarge,
+    MassImbalance,
+    TransportError,
+)
 from .measures import DiscreteMeasure, TransportPlan, _check_p, _plan_costs
 from .slicing import (
     DEFAULT_GROUPING_TOL,
@@ -62,14 +68,10 @@ def _spread(a, b, m, source, target):
     class a owns ``members[starts[a]:starts[a + 1]]``, whose weights sum to
     ``masses[a]``.  Each class pair expands row-major over its members;
     entries below MASS_FLOOR are dropped and their mass re-added within the
-    1D entry.  ``starts`` None on both sides means every class is the one
-    atom ``members[a]``; the expansion would then give each entry back
-    unchanged (w / w is exactly 1), so it is skipped.
+    1D entry.
     """
     members_s, starts_s, weights_s, masses_s = source
     members_t, starts_t, weights_t, masses_t = target
-    if starts_s is None and starts_t is None:
-        return members_s[a], members_t[b], m
     sa, sb = starts_s[a], starts_t[b]
     cols = starts_t[b + 1] - sb
     sizes = (starts_s[a + 1] - sa) * cols
@@ -90,6 +92,16 @@ def _spread(a, b, m, source, target):
         scale = np.bincount(entry, weights=mass) / np.bincount(entry[keep], weights=mass[keep])
         si, tj, mass = si[keep], tj[keep], mass[keep] * scale[entry[keep]]
     return members_s[si], members_t[tj], mass
+
+
+def _check_run(source, target, directions, p, grouping_tol) -> np.ndarray:
+    """Check the inputs of one run; return the checked directions."""
+    _check_pair(source, target, p)
+    directions = _check_directions(directions, source.dim)
+    _check_tol(grouping_tol)
+    if len(source) * len(target) * directions.shape[0] > np.iinfo(np.int64).max:
+        raise InstanceTooLarge("n * m * L exceeds the int64 range of the merge keys")
+    return directions
 
 
 def _chunks(source: DiscreteMeasure, target: DiscreteMeasure, directions: np.ndarray,
@@ -116,8 +128,9 @@ def _chunks(source: DiscreteMeasure, target: DiscreteMeasure, directions: np.nda
         if rows.size:
             order_s, order_t = order_s[rows], order_t[rows]
             r, a, b, mass = _monotone(source.weights[order_s], target.weights[order_t])
-            i, j, mass = _spread(r * n + a, r * m + b, mass, (order_s.ravel(), None, None, None),
-                                 (order_t.ravel(), None, None, None))
+            # Every class is one atom, so the lift gives each 1D entry back
+            # unchanged (w / w is exactly 1): only the indices change.
+            i, j = order_s.ravel()[r * n + a], order_t.ravel()[r * m + b]
             bounds = np.searchsorted(r, np.arange(rows.size + 1))
             costs = _plan_costs(source.atoms, target.atoms, i, j, mass, p, bounds)
             yield lo + rows, bounds, i, j, mass, costs
@@ -172,9 +185,8 @@ def lift_for_direction(
     sliced distance.  A cost that overflows the float range raises
     TransportError.
     """
-    _check_pair(source, target, p)
-    _check_tol(grouping_tol)
-    directions = _check_directions(np.asarray(direction, dtype=float).reshape(1, -1), source.dim)
+    direction = np.asarray(direction, dtype=float).reshape(1, -1)
+    directions = _check_run(source, target, direction, p, grouping_tol)
     with np.errstate(over="ignore"):
         ((_, _, i, j, mass, costs),) = _chunks(source, target, directions, p, grouping_tol)
     _check_costs(costs, p)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from sliced_transport import (
+    METHODS,
     EmbeddingMatrix,
     InvalidCoupling,
     InvalidT,
+    TransportError,
     TransportPlan,
     barycentric_projection,
     est_plan,
+    est_plan_tempered,
     SliceSet,
     gaussian_pair,
     geodesic,
@@ -18,9 +21,13 @@ from sliced_transport import (
     least_squares_accuracy,
     lot_embed,
     make_measure,
+    min_swgg,
+    plan_cost,
     product_coupling,
     reference_measure,
     sample_sphere,
+    sinkhorn,
+    transport,
     two_class_task,
     wasserstein_exact,
     weak_convergence_table,
@@ -149,6 +156,45 @@ def test_lot_embed_translation_shows_up_in_rows():
     shifted = make_measure(ref.atoms + [2.0, 0.0], ref.weights)
     emb = lot_embed(ref, shifted, method="exact")
     np.testing.assert_allclose(emb.rows, np.tile([2.0, 0.0], (20, 1)), atol=1e-8)
+
+
+OPTIONS = {"p": 3.0, "slices": 12, "tau": 2.0, "seed": 5, "lam": 0.7, "grouping_tol": 1e-6}
+
+
+def _direct(method, mu, nu):
+    """The solver call a method name stands for, with OPTIONS spelled out."""
+    p, lam, tol = OPTIONS["p"], OPTIONS["lam"], OPTIONS["grouping_tol"]
+    dirs = sample_sphere(OPTIONS["slices"], mu.dim, OPTIONS["seed"])
+    if method == "est":
+        res = est_plan_tempered(mu, nu, dirs, p=p, tau=OPTIONS["tau"], grouping_tol=tol)
+        return res.plan, res.distance, res.per_slice_costs
+    if method == "min-swgg":
+        _, plan, cost = min_swgg(mu, nu, dirs, p=p, grouping_tol=tol)
+        return plan, cost, None
+    if method == "exact":
+        return (*wasserstein_exact(mu, nu, p), None)
+    plan, err = sinkhorn(mu, nu, p=p, lam=lam)
+    return plan, plan_cost(plan, mu, nu, p), err
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_transport_is_the_direct_solver_call(method):
+    mu, nu = random_pair(7, max_n=20, max_d=3)
+    plan, dist, detail = transport(mu, nu, method, **OPTIONS)
+    want_plan, want_dist, want_detail = _direct(method, mu, nu)
+    for field in ("i", "j", "mass"):
+        assert getattr(plan, field).tobytes() == getattr(want_plan, field).tobytes()
+    assert dist == want_dist
+    if method == "est":
+        assert detail.per_slice_costs.tobytes() == want_detail.tobytes()
+    else:
+        assert detail == want_detail
+
+
+def test_transport_unknown_method_names_the_known_ones():
+    mu, nu = random_pair(7, max_n=20)
+    with pytest.raises(TransportError, match="'nope'; known: est, min-swgg, exact, sinkhorn$"):
+        transport(mu, nu, "nope")
 
 
 def test_lot_embed_unknown_method():

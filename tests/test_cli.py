@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import sliced_transport
 from sliced_transport import (
+    est,
     est_plan_tempered,
     gaussian_pair,
     interpolate,
@@ -281,6 +282,32 @@ def test_experiment_weak_convergence_small(runner, tmp_path):
     w_exact = [r[2] for r in rows]
     assert all(a > b for a, b in zip(w_exact[:-1], w_exact[1:]))
     assert w_exact[-1] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_experiment_embed_bench(runner, tmp_path, monkeypatch):
+    # Accuracy is 1 at any grouping tolerance here, so a spy shows that the
+    # option reaches every EST solve: two temperatures times 40 clouds.
+    seen = []
+    solve = est.est_plan_tempered
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["grouping_tol"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(est, "est_plan_tempered", spy)
+    out = tmp_path / "embed"
+    result = runner.invoke(
+        main, ["experiment", "embed-bench", str(out), "--slices", "8", "--grouping-tol", "0.5"]
+    )
+    assert result.exit_code == 0, result.output
+    lines = (out / "embed_bench.csv").read_text().strip().splitlines()
+    assert lines[0] == "method,accuracy"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["est_tau0", "est_tau1e6", "exact", "sinkhorn_lam10"]
+    assert all(0.0 <= float(r[1]) <= 1.0 for r in rows)
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["experiment"] == "embed-bench" and meta["grouping_tol"] == 0.5
+    assert seen == [0.5] * 80
 
 
 def test_rejects_bad_option_values(runner, pair_files):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliced_transport import (
+    NonUnitDirection,
     SliceSet,
     TransportError,
     est_plan,
@@ -40,6 +41,8 @@ def test_slice_set_rejects_non_unit_rows():
     dirs = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(TransportError):
         SliceSet.uniform(dirs)
+    with pytest.raises(NonUnitDirection, match="^direction norm 2.0 "):
+        SliceSet(dirs, np.array([0.5, 0.5]))
 
 
 def test_slice_set_rejects_nan_rows():
@@ -144,6 +147,10 @@ def test_tempered_rejects_bad_tau_by_name(tau):
         est_plan_tempered(mu, nu, sample_sphere(4, mu.dim, 0), tau=tau)
     with pytest.raises(TransportError, match="^tau must"):
         sigma_tau_weights(np.array([1.0, 2.0]), tau)
+    # tau is checked before any slice is solved, so it wins over overflowing costs.
+    mu, nu = gaussian_pair(20, 2, 3.0, 0)
+    with pytest.raises(TransportError, match="^tau must"):
+        est_plan_tempered(mu, nu, sample_sphere(4, 2, 0), p=2000, tau=tau)
 
 
 OVERFLOWING = {
