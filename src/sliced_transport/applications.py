@@ -31,8 +31,13 @@ from .measures import (
 from .slicing import DEFAULT_GROUPING_TOL, sample_sphere
 
 # The paper's sliced plan, its cheapest single slice, and the two
-# reference solvers.
-METHODS = ("est", "min-swgg", "exact", "sinkhorn")
+# reference solvers, each with the options of `transport` it reads besides p.
+METHODS = {
+    "est": ("slices", "seed", "tau", "grouping_tol"),
+    "min-swgg": ("slices", "seed", "grouping_tol"),
+    "exact": (),
+    "sinkhorn": ("lam",),
+}
 
 # Plans fed into interpolation or barycentric projection may be approximate
 # couplings (entropic plans stop at a finite marginal error), so the gate
@@ -57,8 +62,9 @@ def transport(
     ``seed``, tempered by ``tau``; its detail is the EstResult.  "min-swgg"
     keeps the cheapest of those slices.  "exact" is the optimal plan.
     "sinkhorn" is the entropic plan with regularizer ``lam``; its distance
-    is the plan's cost and its detail the marginal error.  A method ignores
-    the options it does not use; the detail is None where there is none.
+    is the plan's cost and its detail the marginal error.  A method reads
+    ``p`` and its options in METHODS and ignores the others; the detail is
+    None where there is none.
     """
     if method not in METHODS:
         raise TransportError(f"unknown method {method!r}; known: {', '.join(METHODS)}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
@@ -40,27 +39,6 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_UNWRITABLE = 4
 EXIT_UNKNOWN_EXPERIMENT = 5
-
-KNOWN_EXPERIMENTS = ("weak-convergence", "temperature-sweep", "embed-bench")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Options shared by every command; out-of-domain values raise TransportError."""
-
-    p: float = 2.0
-    slices: int = 128
-    tau: float = 0.0
-    seed: int = 0
-    grouping_tol: float = 1e-9
-    fmt: str = "csv"
-
-    def __post_init__(self) -> None:
-        _check_p(self.p)
-        if self.slices < 1:
-            raise TransportError(f"slices must be at least 1, got {self.slices!r}")
-        _check_tau(self.tau)
-        _check_tol(self.grouping_tol)
 
 
 def _fail(code: int, message: str) -> None:
@@ -105,48 +83,57 @@ def _write_meta(path: Path, payload: dict) -> None:
         _fail(EXIT_UNWRITABLE, f"cannot write {path}: {exc}")
 
 
-config_options = [
-    click.option("--p", "p", type=float, default=2.0, show_default=True, help="Cost exponent (> 1)."),
-    click.option("--slices", type=int, default=128, show_default=True, help="Number of directions L."),
-    click.option("--tau", type=float, default=0.0, show_default=True, help="Direction-weight temperature."),
-    click.option("--seed", type=int, default=0, show_default=True, help="RNG seed for directions."),
-    click.option(
-        "--grouping-tol",
-        type=float,
-        default=1e-9,
-        show_default=True,
+def _check_slices(slices: int) -> None:
+    if slices < 1:
+        raise TransportError(f"slices must be at least 1, got {slices!r}")
+
+
+def _checked(check):
+    """A click callback running a library check: a bad value exits 2 before any command runs."""
+
+    def callback(_ctx, _param, value):
+        check(value)
+        return value
+
+    return callback
+
+
+# Keyed by parameter name: the solver options are `transport`'s keywords.
+_OPTIONS = {
+    "p": click.option("--p", "p", type=float, default=2.0, show_default=True,
+                      callback=_checked(_check_p), help="Cost exponent (> 1)."),
+    "slices": click.option("--slices", type=int, default=128, show_default=True,
+                           callback=_checked(_check_slices), help="Number of directions L."),
+    "tau": click.option("--tau", type=float, default=0.0, show_default=True,
+                        callback=_checked(_check_tau), help="Direction-weight temperature."),
+    "seed": click.option("--seed", type=int, default=0, show_default=True,
+                         help="RNG seed for directions."),
+    "grouping_tol": click.option(
+        "--grouping-tol", type=float, default=1e-9, show_default=True, callback=_checked(_check_tol),
         help="Relative tolerance for merging coincident projections.",
     ),
-    click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["csv", "json"]),
-        default="csv",
-        show_default=True,
-        help="Output format.",
-    ),
-]
+    "fmt": click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+                        show_default=True, help="Output format."),
+    "method": click.option("--method", type=click.Choice(METHODS), default="est", show_default=True),
+    "lam": click.option("--lambda", "lam", type=float, default=1.0, show_default=True,
+                        callback=_checked(_check_lam), help="Entropic regularizer."),
+}
 
 
-def _check_lambda(_ctx, _param, lam: float) -> float:
-    _check_lam(lam)
-    return lam
+def _options(*names):
+    """Add the named options to a command, listed in this order in its help."""
+
+    def apply(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return fn
+
+    return apply
 
 
-lambda_option = click.option(
-    "--lambda", "lam", type=float, default=1.0, show_default=True, callback=_check_lambda,
-    help="Entropic regularizer.",
-)
-method_option = click.option(
-    "--method", type=click.Choice(METHODS), default="est",
-    show_default=True,
-)
-
-
-def _with_config(fn):
-    for opt in reversed(config_options):
-        fn = opt(fn)
-    return fn
+def _sidecar(options: dict, names) -> dict:
+    """The named options under their sidecar keys: ``lam`` is recorded as ``lambda``."""
+    return {"lambda" if name == "lam" else name: options[name] for name in names}
 
 
 class _Main(click.Group):
@@ -167,21 +154,18 @@ def main() -> None:
 @main.command()
 @click.argument("source", type=click.Path())
 @click.argument("target", type=click.Path())
-@_with_config
-@method_option
-@lambda_option
+@_options("p", "slices", "tau", "seed", "grouping_tol", "fmt", "method", "lam")
 @click.option("--per-slice", is_flag=True, help="Also print slice index, cost, weight rows.")
-def distance(source, target, p, slices, tau, seed, grouping_tol, fmt, method, lam, per_slice):
+def distance(source, target, fmt, method, per_slice, **options):
     """Print the distance between two measure files (12 significant digits)."""
-    RunConfig(p, slices, tau, seed, grouping_tol, fmt)  # checks the option values
     mu, nu = _load_pair(source, target)
-    _plan, dist, detail = transport(mu, nu, method, p, slices, tau, seed, lam, grouping_tol)
+    _plan, dist, detail = transport(mu, nu, method, **options)
     # Only the averaged plan has per-slice costs and weights.
     rows = []
     if per_slice and method == "est":
         rows = list(enumerate(zip(detail.per_slice_costs, detail.slice_weights)))
     if fmt == "json":
-        payload: dict = {"distance": float(dist), "method": method, "seed": seed}
+        payload: dict = {"distance": float(dist), "method": method, "seed": options["seed"]}
         if rows:
             payload["per_slice"] = [
                 {"slice": k, "cost": float(c), "weight": float(w)} for k, (c, w) in rows
@@ -197,14 +181,11 @@ def distance(source, target, p, slices, tau, seed, grouping_tol, fmt, method, la
 @click.argument("source", type=click.Path())
 @click.argument("target", type=click.Path())
 @click.argument("out_file", type=click.Path())
-@_with_config
-@method_option
-@lambda_option
-def plan(source, target, out_file, p, slices, tau, seed, grouping_tol, fmt, method, lam):
+@_options("p", "slices", "tau", "seed", "grouping_tol", "method", "lam")
+def plan(source, target, out_file, method, **options):
     """Compute a transport plan and write it as CSV (i,j,mass)."""
-    cfg = RunConfig(p, slices, tau, seed, grouping_tol, fmt)
     mu, nu = _load_pair(source, target)
-    result_plan, dist, detail = transport(mu, nu, method, p, slices, tau, seed, lam, grouping_tol)
+    result_plan, dist, detail = transport(mu, nu, method, **options)
     out_path = Path(out_file)
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -217,11 +198,9 @@ def plan(source, target, out_file, p, slices, tau, seed, grouping_tol, fmt, meth
         "target": str(target),
         "method": method,
         "distance": float(dist),
-        "seed": cfg.seed,
-        **asdict(cfg),
+        **_sidecar(options, ("p", *METHODS[method])),
     }
     if method == "sinkhorn":
-        meta["lambda"] = lam
         meta["marginal_error"] = float(detail)
         click.echo(f"marginal_error {detail:.17g}")
     _write_meta(out_path.with_suffix(out_path.suffix + ".meta.json"), meta)
@@ -231,22 +210,17 @@ def plan(source, target, out_file, p, slices, tau, seed, grouping_tol, fmt, meth
 @click.argument("source", type=click.Path())
 @click.argument("target", type=click.Path())
 @click.argument("out_dir", type=click.Path())
-@_with_config
-@method_option
-@lambda_option
+@_options("p", "slices", "tau", "seed", "grouping_tol", "fmt", "method", "lam")
 @click.option("--steps", type=click.IntRange(min=1), default=10, show_default=True)
-def interpolate_cmd(source, target, out_dir, p, slices, tau, seed, grouping_tol, fmt, method, lam, steps):
+def interpolate_cmd(source, target, out_dir, fmt, method, steps, **options):
     """Write steps+1 interpolated measures t_000 ... t_<steps>."""
-    cfg = RunConfig(p, slices, tau, seed, grouping_tol, fmt)
     mu, nu = _load_pair(source, target)
     out_path = _ensure_out_dir(out_dir)
-    result_plan = transport(mu, nu, method, p, slices, tau, seed, lam, grouping_tol)[0]
-    ext = "json" if fmt == "json" else "csv"
+    result_plan = transport(mu, nu, method, **options)[0]
     try:
         for k in range(steps + 1):
-            t = k / steps
-            frame = interpolate(result_plan, mu, nu, t)
-            io.write_measure(frame, out_path / f"t_{k:03d}.{ext}", fmt=fmt)
+            frame = interpolate(result_plan, mu, nu, k / steps)
+            io.write_measure(frame, out_path / f"t_{k:03d}.{fmt}", fmt=fmt)
     except OSError as exc:
         _fail(EXIT_UNWRITABLE, f"cannot write into {out_dir}: {exc}")
     _write_meta(
@@ -257,101 +231,87 @@ def interpolate_cmd(source, target, out_dir, p, slices, tau, seed, grouping_tol,
             "target": str(target),
             "method": method,
             "steps": steps,
-            "seed": cfg.seed,
-            **asdict(cfg),
+            "fmt": fmt,
+            **_sidecar(options, ("p", *METHODS[method])),
         },
     )
 
 
-def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    import csv as _csv
-
-    try:
-        with path.open("w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        _fail(EXIT_UNWRITABLE, f"cannot write {path}: {exc}")
+# Each experiment takes the parsed --taus and --lambdas lists and the
+# options, and returns its table: (file name, header, row format, columns).
 
 
-def _experiment_weak_convergence(out_path: Path, cfg: RunConfig, taus, lambdas) -> None:
-    mu, nu = gaussian_pair(size=50, dim=2, shift=3.0, seed=cfg.seed)
+def _weak_convergence(taus, lambdas, p, slices, seed, grouping_tol, lam):
+    mu, nu = gaussian_pair(size=50, dim=2, shift=3.0, seed=seed)
     ts = [round(0.1 * k, 1) for k in range(10)] + [0.99, 1.0]
-    rows = weak_convergence_table(
-        mu,
-        nu,
-        ts,
-        slices=cfg.slices,
-        taus=taus,
-        lambdas=lambdas,
-        seed=cfg.seed,
-        p=cfg.p,
-        grouping_tol=cfg.grouping_tol,
-    )
-    header = list(rows[0].keys())
-    _write_csv_rows(
-        out_path / "weak_convergence.csv",
-        header,
-        [[format(row[k], ".17g") for k in header] for row in rows],
-    )
+    rows = weak_convergence_table(mu, nu, ts, slices=slices, taus=taus, lambdas=lambdas, seed=seed,
+                                  p=p, grouping_tol=grouping_tol)
+    header = list(rows[0])
+    return ("weak_convergence.csv", header, ",".join(["%.17g"] * len(header)) + "\r\n",
+            [np.array([row[k] for row in rows]) for k in header])
 
 
-def _experiment_temperature_sweep(out_path: Path, cfg: RunConfig, taus) -> None:
-    rng = np.random.default_rng(cfg.seed)
+def _temperature_sweep(taus, lambdas, p, slices, seed, grouping_tol, lam):
+    rng = np.random.default_rng(seed)
     n = 30
     mu = make_measure(rng.standard_normal((n, 2)), np.full(n, 1.0 / n))
     nu = make_measure(rng.standard_normal((2 * n, 2)) + [2.0, 0.0], np.full(2 * n, 0.5 / n))
-    rows = []
-    for tau in taus:
-        plan, dist, _ = transport(mu, nu, "est", cfg.p, cfg.slices, tau, cfg.seed,
-                                  grouping_tol=cfg.grouping_tol)
-        rows.append([format(tau, ".17g"), format(dist, ".17g"), len(plan)])
-    _write_csv_rows(out_path / "temperature_sweep.csv", ["tau", "distance", "entries"], rows)
+    runs = [transport(mu, nu, "est", p, slices, tau, seed, grouping_tol=grouping_tol)
+            for tau in taus]
+    return ("temperature_sweep.csv", ["tau", "distance", "entries"], "%.17g,%.17g,%d\r\n",
+            [np.array(taus, dtype=float), np.array([dist for _, dist, _ in runs]),
+             np.array([len(plan) for plan, _, _ in runs], dtype=int)])
 
 
-def _experiment_embed_bench(out_path: Path, cfg: RunConfig, lam: float) -> None:
-    clouds, labels = two_class_task(seed=cfg.seed)
-    ref = reference_measure(size=50, dim=2, seed=cfg.seed)
-    rows = []
+def _embed_bench(taus, lambdas, p, slices, seed, grouping_tol, lam):
+    clouds, labels = two_class_task(seed=seed)
+    ref = reference_measure(size=50, dim=2, seed=seed)
+    names, accuracies = [], []
     for name, method, tau in (("est_tau0", "est", 0.0), ("est_tau1e6", "est", 1e6),
                               ("exact", "exact", 0.0), (f"sinkhorn_lam{lam:g}", "sinkhorn", 0.0)):
-        feats = embedding_features(ref, clouds, method=method, p=cfg.p, slices=cfg.slices, tau=tau,
-                                   seed=cfg.seed, lam=lam, grouping_tol=cfg.grouping_tol)
-        rows.append([name, format(least_squares_accuracy(feats, labels), ".17g")])
-    _write_csv_rows(out_path / "embed_bench.csv", ["method", "accuracy"], rows)
+        feats = embedding_features(ref, clouds, method=method, p=p, slices=slices, tau=tau,
+                                   seed=seed, lam=lam, grouping_tol=grouping_tol)
+        names.append(name)
+        accuracies.append(least_squares_accuracy(feats, labels))
+    return ("embed_bench.csv", ["method", "accuracy"], "%s,%.17g\r\n",
+            [np.array(names), np.array(accuracies)])
+
+
+EXPERIMENTS = {
+    "weak-convergence": _weak_convergence,
+    "temperature-sweep": _temperature_sweep,
+    "embed-bench": _embed_bench,
+}
 
 
 @main.command()
 @click.argument("name")
 @click.argument("out_dir", type=click.Path())
-@_with_config
+@_options("p", "slices", "seed", "grouping_tol")
 @click.option("--taus", default="0,1,10", show_default=True, help="Comma-separated tau list.")
 @click.option("--lambdas", default="1,10", show_default=True, help="Comma-separated lambda list.")
 @click.option(
-    "--lambda", "lam", type=float, default=10.0, show_default=True, callback=_check_lambda,
+    "--lambda", "lam", type=float, default=10.0, show_default=True, callback=_checked(_check_lam),
     help="Embedding regularizer.",
 )
-def experiment(name, out_dir, p, slices, tau, seed, grouping_tol, fmt, taus, lambdas, lam):
+def experiment(name, out_dir, taus, lambdas, **options):
     """Run a named experiment and write plot-ready CSV tables."""
-    if name not in KNOWN_EXPERIMENTS:
+    if name not in EXPERIMENTS:
         _fail(
             EXIT_UNKNOWN_EXPERIMENT,
-            f"unknown experiment {name!r}; known: {', '.join(KNOWN_EXPERIMENTS)}",
+            f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}",
         )
-    cfg = RunConfig(p, slices, tau, seed, grouping_tol, fmt)
     out_path = _ensure_out_dir(out_dir)
     try:
         tau_list = [float(v) for v in taus.split(",") if v.strip()]
         lambda_list = [float(v) for v in lambdas.split(",") if v.strip()]
     except ValueError as exc:
         _fail(EXIT_PARSE, f"bad numeric list: {exc}")
-    if name == "weak-convergence":
-        _experiment_weak_convergence(out_path, cfg, tau_list, lambda_list)
-    elif name == "temperature-sweep":
-        _experiment_temperature_sweep(out_path, cfg, tau_list)
-    else:
-        _experiment_embed_bench(out_path, cfg, lam)
+    file_name, header, row_format, columns = EXPERIMENTS[name](tau_list, lambda_list, **options)
+    try:
+        io._write_rows(out_path / file_name, header, row_format, columns)
+    except OSError as exc:
+        _fail(EXIT_UNWRITABLE, f"cannot write {out_path / file_name}: {exc}")
     _write_meta(
         out_path / "meta.json",
         {
@@ -359,9 +319,7 @@ def experiment(name, out_dir, p, slices, tau, seed, grouping_tol, fmt, taus, lam
             "experiment": name,
             "taus": taus,
             "lambdas": lambdas,
-            "lambda": lam,
-            "seed": seed,
-            **asdict(cfg),
+            **_sidecar(options, options),
         },
     )
 

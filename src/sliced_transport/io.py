@@ -2,8 +2,9 @@
 
 CSV floats are written with 17 significant digits and JSON floats in
 Python's shortest round-trip form, so write-then-read reproduces every
-value exactly.  Both CSV writers format blocks of at most
-`_CSV_BLOCK_FIELDS` values, one ``%``-format each, into ``csv.writer``'s bytes.
+value exactly.  Both CSV readers share `_read_csv`.  `_write_rows` writes
+every CSV table in blocks of at most `_CSV_BLOCK_FIELDS` values, one
+``%``-format each, into ``csv.writer``'s bytes.
 """
 
 from __future__ import annotations
@@ -38,6 +39,31 @@ def _write_rows(path, header: list[str], row_format: str, columns) -> None:
             fh.write((row_format * len(block[0])) % fields)
 
 
+def _read_csv(path, header_ok, expected: str, add) -> list[str]:
+    """Check a CSV file's header, pass each non-empty row below it to ``add``.
+
+    Returns the header.  A header that fails ``header_ok``, a wrong field
+    count, or a ``ValueError`` from ``add`` raises a TransportError; a
+    row's error names the file and the first bad line.
+    """
+    with Path(path).open(newline="") as fh:
+        rows = csv.reader(fh)
+        header = [c.strip() for c in next(rows, [])]
+        if not header_ok(header):
+            raise TransportError(f"{path}: bad header {header!r}, expected {expected}")
+        width = len(header)
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise TransportError(f"{path}:{lineno}: expected {width} fields")
+            try:
+                add(row)
+            except ValueError as exc:
+                raise TransportError(f"{path}:{lineno}: {exc}") from None
+    return header
+
+
 def _measure_header(dim: int) -> list[str]:
     return ["w"] + [f"x{k}" for k in range(1, dim + 1)]
 
@@ -64,28 +90,11 @@ def write_measure_csv(measure: DiscreteMeasure, path) -> None:
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
-    path = Path(path)
-    weights = []
-    atoms = []
-    with path.open(newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None:
-            raise TransportError(f"{path}: empty measure file")
-        header = [c.strip() for c in header]
-        if header != _measure_header(len(header) - 1):
-            raise TransportError(f"{path}: bad header {header!r}, expected w,x1,...,xd")
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise TransportError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                weights.append(float(row[0]))
-                atoms.append([float(c) for c in row[1:]])
-            except ValueError as exc:
-                raise TransportError(f"{path}:{lineno}: {exc}") from None
-    return _measure_from_raw(atoms, weights)
+    values: list[float] = []
+    header = _read_csv(path, lambda header: header == _measure_header(len(header) - 1),
+                       "w,x1,...,xd", lambda row: values.extend(map(float, row)))
+    table = np.array(values).reshape(-1, len(header))
+    return _measure_from_raw(table[:, 1:], table[:, 0])
 
 
 def write_measure_json(measure: DiscreteMeasure, path) -> None:
@@ -131,24 +140,14 @@ def write_plan_csv(plan: TransportPlan, path) -> None:
 
 def read_plan_csv(path, source_size: int | None = None, target_size: int | None = None) -> TransportPlan:
     """Read a plan; sizes default to one past the largest index seen."""
-    path = Path(path)
     ii, jj, mm = [], [], []
-    with path.open(newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None or [c.strip() for c in header] != ["i", "j", "mass"]:
-            raise TransportError(f"{path}: expected header i,j,mass")
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise TransportError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                ii.append(int(row[0]))
-                jj.append(int(row[1]))
-                mm.append(float(row[2]))
-            except ValueError as exc:
-                raise TransportError(f"{path}:{lineno}: {exc}") from None
+
+    def add(row):
+        ii.append(int(row[0]))
+        jj.append(int(row[1]))
+        mm.append(float(row[2]))
+
+    _read_csv(path, lambda header: header == ["i", "j", "mass"], "i,j,mass", add)
     if not ii:
         raise TransportError(f"{path}: plan has no entries")
     try:

@@ -1,5 +1,7 @@
 """Interpolation, geodesics, barycentric projection, embeddings."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,19 @@ def test_transport_is_the_direct_solver_call(method):
         assert detail.per_slice_costs.tobytes() == want_detail.tobytes()
     else:
         assert detail == want_detail
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_methods_ignore_the_options_outside_their_entry(method):
+    # OPTIONS holds a non-default value for every option of transport.
+    assert set(OPTIONS) == set(inspect.signature(transport).parameters) - {"source", "target", "method"}
+    mu, nu = random_pair(7, max_n=20, max_d=3)
+    plan, dist, _ = transport(mu, nu, method)
+    for name in set(OPTIONS) - {"p", *METHODS[method]}:
+        other, other_dist, _ = transport(mu, nu, method, **{name: OPTIONS[name]})
+        for field in ("i", "j", "mass"):
+            assert getattr(other, field).tobytes() == getattr(plan, field).tobytes(), name
+        assert other_dist == dist, name
 
 
 def test_transport_unknown_method_names_the_known_ones():

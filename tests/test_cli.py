@@ -125,6 +125,35 @@ def test_plan_sinkhorn_reports_marginal_error(runner, pair_files, tmp_path):
     assert meta["lambda"] == 1.0
 
 
+@pytest.mark.parametrize("method, own_keys", [
+    ("est", {"slices", "seed", "tau", "grouping_tol"}),
+    ("min-swgg", {"slices", "seed", "grouping_tol"}),
+    ("exact", set()),
+    ("sinkhorn", {"lambda", "marginal_error"}),
+])
+def test_plan_sidecar_records_what_the_method_read(runner, pair_files, tmp_path, method, own_keys):
+    a, b, *_ = pair_files
+    out = tmp_path / "plan.csv"
+    result = runner.invoke(main, ["plan", a, b, str(out), "--method", method, "--tau", "3"])
+    assert result.exit_code == 0, result.output
+    meta = json.loads((tmp_path / "plan.csv.meta.json").read_text())
+    assert set(meta) == {"command", "source", "target", "method", "distance", "p"} | own_keys
+    if "tau" in own_keys:
+        assert meta["tau"] == 3.0
+
+
+def test_interpolate_sidecar_records_lambda(runner, pair_files, tmp_path):
+    a, b, *_ = pair_files
+    out = tmp_path / "frames"
+    args = ["interpolate", a, b, str(out), "--method", "sinkhorn", "--lambda", "5", "--steps", "2"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "meta.json").read_text()) == {
+        "command": "interpolate", "source": a, "target": b, "method": "sinkhorn", "steps": 2,
+        "fmt": "csv", "p": 2.0, "lambda": 5.0,
+    }
+
+
 def test_interpolate_writes_frames(runner, pair_files, tmp_path):
     a, b, mu, nu = pair_files
     out = tmp_path / "frames"
@@ -220,9 +249,12 @@ def test_unknown_experiment_exit_code(runner, tmp_path):
 
 def test_option_values_are_checked_before_the_experiment_name(runner, tmp_path):
     # Option values are validated while click parses them, before any command body.
-    result = runner.invoke(main, ["experiment", "no-such-study", str(tmp_path), "--lambda", "nan"])
-    assert result.exit_code == 2
-    assert result.output.startswith("error: lam must")
+    for option, value, name in [("--lambda", "nan", "lam"), ("--p", "nan", "p"),
+                                ("--slices", "0", "slices"), ("--grouping-tol", "nan", "grouping_tol")]:
+        result = runner.invoke(main, ["experiment", "no-such-study", str(tmp_path), option, value])
+        assert result.exit_code == 2, option
+        assert result.output.startswith(f"error: {name} must"), option
+        assert len(result.output.splitlines()) == 1, option
 
 
 def test_lambda_is_checked_whatever_the_method(runner, pair_files):
@@ -256,6 +288,8 @@ def test_experiment_temperature_sweep(runner, tmp_path):
     assert distances[0] >= distances[1] >= distances[2]
     meta = json.loads((out / "meta.json").read_text())
     assert meta["experiment"] == "temperature-sweep"
+    assert set(meta) == {"command", "experiment", "taus", "lambdas", "lambda", "seed", "p", "slices",
+                         "grouping_tol"}
 
 
 def test_experiment_weak_convergence_small(runner, tmp_path):
@@ -330,36 +364,55 @@ def test_rejects_non_finite_option_values(runner, pair_files, option, value):
 
 
 SOLVER_OPTIONS_HELP = """\
-Options:
   --p FLOAT                       Cost exponent (> 1).  [default: 2.0]
   --slices INTEGER                Number of directions L.  [default: 128]
   --tau FLOAT                     Direction-weight temperature.  [default: 0.0]
   --seed INTEGER                  RNG seed for directions.  [default: 0]
   --grouping-tol FLOAT            Relative tolerance for merging coincident
                                   projections.  [default: 1e-09]
-  --format [csv|json]             Output format.  [default: csv]
+"""
+FORMAT_HELP = "  --format [csv|json]             Output format.  [default: csv]\n"
+METHOD_HELP = """\
   --method [est|min-swgg|exact|sinkhorn]
                                   [default: est]
   --lambda FLOAT                  Entropic regularizer.  [default: 1.0]
 """
+EXPERIMENT_OPTIONS_HELP = """\
+  --p FLOAT             Cost exponent (> 1).  [default: 2.0]
+  --slices INTEGER      Number of directions L.  [default: 128]
+  --seed INTEGER        RNG seed for directions.  [default: 0]
+  --grouping-tol FLOAT  Relative tolerance for merging coincident projections.
+                        [default: 1e-09]
+  --taus TEXT           Comma-separated tau list.  [default: 0,1,10]
+  --lambdas TEXT        Comma-separated lambda list.  [default: 1,10]
+  --lambda FLOAT        Embedding regularizer.  [default: 10.0]
+  --help                Show this message and exit.
+"""
+HELP_LINE = "  --help                          Show this message and exit.\n"
 
 
-@pytest.mark.parametrize("command, arguments, summary, own_options", [
+@pytest.mark.parametrize("command, arguments, summary, options", [
     ("distance", "SOURCE TARGET",
      "Print the distance between two measure files (12 significant digits).",
-     "  --per-slice                     Also print slice index, cost, weight rows.\n"),
+     SOLVER_OPTIONS_HELP + FORMAT_HELP + METHOD_HELP
+     + "  --per-slice                     Also print slice index, cost, weight rows.\n" + HELP_LINE),
     ("plan", "SOURCE TARGET OUT_FILE",
-     "Compute a transport plan and write it as CSV (i,j,mass).", ""),
+     "Compute a transport plan and write it as CSV (i,j,mass).",
+     SOLVER_OPTIONS_HELP + METHOD_HELP + HELP_LINE),
     ("interpolate", "SOURCE TARGET OUT_DIR",
      "Write steps+1 interpolated measures t_000 ... t_<steps>.",
-     "  --steps INTEGER RANGE           [default: 10; x>=1]\n"),
+     SOLVER_OPTIONS_HELP + FORMAT_HELP + METHOD_HELP
+     + "  --steps INTEGER RANGE           [default: 10; x>=1]\n" + HELP_LINE),
+    ("experiment", "NAME OUT_DIR",
+     "Run a named experiment and write plot-ready CSV tables.", EXPERIMENT_OPTIONS_HELP),
 ])
-def test_solver_commands_help_text(runner, command, arguments, summary, own_options):
+def test_solver_commands_help_text(runner, command, arguments, summary, options):
+    # Each command lists the options it reads: plan writes CSV only, and the
+    # experiments take no --tau and no --format.
     result = runner.invoke(main, [command, "--help"], terminal_width=80)
     assert result.exit_code == 0
     assert result.output == (
-        f"Usage: main {command} [OPTIONS] {arguments}\n\n  {summary}\n\n{SOLVER_OPTIONS_HELP}"
-        f"{own_options}  --help                          Show this message and exit.\n"
+        f"Usage: main {command} [OPTIONS] {arguments}\n\n  {summary}\n\nOptions:\n{options}"
     )
 
 
