@@ -98,6 +98,32 @@ def _checked(check):
     return callback
 
 
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def _checked_list(check):
+    """A click callback for a comma-separated list: each value checked, none repeated.
+
+    It returns the string unchanged, which is what the sidecar records.
+    """
+
+    def callback(_ctx, param, value):
+        try:
+            values = _float_list(value)
+        except ValueError as exc:
+            raise TransportError(f"bad numeric list: {exc}") from None
+        seen = set()
+        for v in values:
+            check(v)
+            if v in seen:
+                raise TransportError(f"{param.opts[0]} lists {v!r} more than once")
+            seen.add(v)
+        return value
+
+    return callback
+
+
 # Keyed by parameter name: the solver options are `transport`'s keywords.
 _OPTIONS = {
     "p": click.option("--p", "p", type=float, default=2.0, show_default=True,
@@ -165,7 +191,9 @@ def distance(source, target, fmt, method, per_slice, **options):
     if per_slice and method == "est":
         rows = list(enumerate(zip(detail.per_slice_costs, detail.slice_weights)))
     if fmt == "json":
-        payload: dict = {"distance": float(dist), "method": method, "seed": options["seed"]}
+        payload: dict = {"distance": float(dist), "method": method}
+        if "seed" in METHODS[method]:
+            payload["seed"] = options["seed"]
         if rows:
             payload["per_slice"] = [
                 {"slice": k, "cost": float(c), "weight": float(w)} for k, (c, w) in rows
@@ -238,7 +266,8 @@ def interpolate_cmd(source, target, out_dir, fmt, method, steps, **options):
 
 
 # Each experiment takes the parsed --taus and --lambdas lists and the
-# options, and returns its table: (file name, header, row format, columns).
+# options, and returns its table: (file name, header, columns).  A column's
+# dtype sets how it is printed.
 
 
 def _weak_convergence(taus, lambdas, p, slices, seed, grouping_tol, lam):
@@ -247,8 +276,7 @@ def _weak_convergence(taus, lambdas, p, slices, seed, grouping_tol, lam):
     rows = weak_convergence_table(mu, nu, ts, slices=slices, taus=taus, lambdas=lambdas, seed=seed,
                                   p=p, grouping_tol=grouping_tol)
     header = list(rows[0])
-    return ("weak_convergence.csv", header, ",".join(["%.17g"] * len(header)) + "\r\n",
-            [np.array([row[k] for row in rows]) for k in header])
+    return "weak_convergence.csv", header, [np.array([row[k] for row in rows]) for k in header]
 
 
 def _temperature_sweep(taus, lambdas, p, slices, seed, grouping_tol, lam):
@@ -258,7 +286,7 @@ def _temperature_sweep(taus, lambdas, p, slices, seed, grouping_tol, lam):
     nu = make_measure(rng.standard_normal((2 * n, 2)) + [2.0, 0.0], np.full(2 * n, 0.5 / n))
     runs = [transport(mu, nu, "est", p, slices, tau, seed, grouping_tol=grouping_tol)
             for tau in taus]
-    return ("temperature_sweep.csv", ["tau", "distance", "entries"], "%.17g,%.17g,%d\r\n",
+    return ("temperature_sweep.csv", ["tau", "distance", "entries"],
             [np.array(taus, dtype=float), np.array([dist for _, dist, _ in runs]),
              np.array([len(plan) for plan, _, _ in runs], dtype=int)])
 
@@ -273,8 +301,7 @@ def _embed_bench(taus, lambdas, p, slices, seed, grouping_tol, lam):
                                    seed=seed, lam=lam, grouping_tol=grouping_tol)
         names.append(name)
         accuracies.append(least_squares_accuracy(feats, labels))
-    return ("embed_bench.csv", ["method", "accuracy"], "%s,%.17g\r\n",
-            [np.array(names), np.array(accuracies)])
+    return "embed_bench.csv", ["method", "accuracy"], [np.array(names), np.array(accuracies)]
 
 
 EXPERIMENTS = {
@@ -288,8 +315,10 @@ EXPERIMENTS = {
 @click.argument("name")
 @click.argument("out_dir", type=click.Path())
 @_options("p", "slices", "seed", "grouping_tol")
-@click.option("--taus", default="0,1,10", show_default=True, help="Comma-separated tau list.")
-@click.option("--lambdas", default="1,10", show_default=True, help="Comma-separated lambda list.")
+@click.option("--taus", default="0,1,10", show_default=True, callback=_checked_list(_check_tau),
+              help="Comma-separated tau list.")
+@click.option("--lambdas", default="1,10", show_default=True, callback=_checked_list(_check_lam),
+              help="Comma-separated lambda list.")
 @click.option(
     "--lambda", "lam", type=float, default=10.0, show_default=True, callback=_checked(_check_lam),
     help="Embedding regularizer.",
@@ -302,14 +331,9 @@ def experiment(name, out_dir, taus, lambdas, **options):
             f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}",
         )
     out_path = _ensure_out_dir(out_dir)
+    file_name, header, columns = EXPERIMENTS[name](_float_list(taus), _float_list(lambdas), **options)
     try:
-        tau_list = [float(v) for v in taus.split(",") if v.strip()]
-        lambda_list = [float(v) for v in lambdas.split(",") if v.strip()]
-    except ValueError as exc:
-        _fail(EXIT_PARSE, f"bad numeric list: {exc}")
-    file_name, header, row_format, columns = EXPERIMENTS[name](tau_list, lambda_list, **options)
-    try:
-        io._write_rows(out_path / file_name, header, row_format, columns)
+        io._write_rows(out_path / file_name, header, columns)
     except OSError as exc:
         _fail(EXIT_UNWRITABLE, f"cannot write {out_path / file_name}: {exc}")
     _write_meta(

@@ -87,6 +87,15 @@ def test_distance_json_format(runner, pair_files):
     assert len(payload["per_slice"]) == 8
 
 
+@pytest.mark.parametrize("method", ["est", "min-swgg", "exact", "sinkhorn"])
+def test_distance_json_prints_seed_only_where_the_method_reads_it(runner, pair_files, method):
+    a, b, *_ = pair_files
+    result = runner.invoke(main, ["distance", a, b, "--slices", "8", "--method", method, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert set(payload) == {"distance", "method"} | ({"seed"} if method in ("est", "min-swgg") else set())
+
+
 def test_distance_deterministic_output(runner, pair_files):
     a, b, *_ = pair_files
     args = ["distance", a, b, "--slices", "16", "--seed", "5"]
@@ -342,6 +351,33 @@ def test_experiment_embed_bench(runner, tmp_path, monkeypatch):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["experiment"] == "embed-bench" and meta["grouping_tol"] == 0.5
     assert seen == [0.5] * 80
+
+
+@pytest.mark.parametrize("name", ["weak-convergence", "temperature-sweep", "embed-bench"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--taus", "nan", "error: tau must be a finite number >= 0, got nan"),
+    ("--taus", "0,-1", "error: tau must be a finite number >= 0, got -1.0"),
+    ("--lambdas", "1,0", "error: lam must be positive and finite, got 0.0"),
+    ("--taus", "0,x", "error: bad numeric list: could not convert string to float: 'x'"),
+])
+def test_experiment_lists_are_checked_before_anything_is_written(runner, tmp_path, name, option, value,
+                                                                 message):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", name, str(out), "--slices", "4", option, value])
+    assert result.exit_code == 2
+    assert result.output == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["weak-convergence", "temperature-sweep", "embed-bench"])
+@pytest.mark.parametrize("option, value, repeated", [("--taus", "0,1,0", "0.0"), ("--taus", "1,1e0", "1.0"),
+                                                     ("--lambdas", "10, 10", "10.0")])
+def test_experiment_lists_reject_a_repeated_value(runner, tmp_path, name, option, value, repeated):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", name, str(out), "--slices", "4", option, value])
+    assert result.exit_code == 2
+    assert result.output == f"error: {option} lists {repeated} more than once\n"
+    assert not out.exists()
 
 
 def test_rejects_bad_option_values(runner, pair_files):
