@@ -55,6 +55,7 @@ def transport(
     seed: int = 0,
     lam: float = 1.0,
     grouping_tol: float = DEFAULT_GROUPING_TOL,
+    need_plan: bool = True,
 ):
     """Plan, distance and detail ``(plan, distance, detail)`` of a method in METHODS.
 
@@ -65,6 +66,11 @@ def transport(
     is the plan's cost and its detail the marginal error.  A method reads
     ``p`` and its options in METHODS and ignores the others; the detail is
     None where there is none.
+
+    A caller that reads no plan passes ``need_plan=False``: "est" then
+    skips the merge of its slices, returns None for the plan and the pair
+    ``(per_slice_costs, slice_weights)`` as the detail, with the distance
+    bits unchanged.  The other methods return their plan as usual.
     """
     if method not in METHODS:
         raise TransportError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
@@ -80,6 +86,10 @@ def transport(
     if method == "min-swgg":
         _, plan, cost = est.min_swgg(source, target, directions, p=p, grouping_tol=grouping_tol)
         return plan, cost, None
+    if not need_plan:
+        _, dist, costs, weights = est._tempered(source, target, directions, p, tau, grouping_tol,
+                                                merge=False)
+        return None, dist, (costs, weights)
     res = est.est_plan_tempered(source, target, directions, p=p, tau=tau,
                                 grouping_tol=grouping_tol)
     return res.plan, res.distance, res
@@ -108,7 +118,11 @@ def interpolate(
     if source.dim != target.dim:
         raise DimensionMismatch("source and target dimensions differ")
     _require_coupling(plan, source, target)
-    atoms = (1.0 - t) * source.atoms[plan.i] + t * target.atoms[plan.j]
+    atoms = np.take(source.atoms, plan.i, axis=0)
+    atoms *= 1.0 - t
+    ends = np.take(target.atoms, plan.j, axis=0)
+    ends *= t
+    atoms += ends
     # An admissible plan may carry up to 1e-6 marginal drift; rescale so
     # the masses pass the much tighter measure-weight gate.
     return make_measure(atoms, plan.mass / float(np.sum(plan.mass)))
@@ -140,7 +154,7 @@ def barycentric_projection(
     # without an (entries, d) temporary.
     out = np.empty((len(reference), reference.dim))
     for k in range(reference.dim):
-        out[:, k] = np.bincount(plan.i, weights=plan.mass * target.atoms[plan.j, k],
+        out[:, k] = np.bincount(plan.i, weights=plan.mass * np.take(target.atoms[:, k], plan.j),
                                 minlength=len(reference))
     return out / reference.weights[:, None]
 
@@ -284,7 +298,8 @@ def weak_convergence_table(
         row: dict = {"t": float(t)}
         for tau in taus:
             row[f"est_tau_{tau:g}"] = transport(
-                mu_t, target, "est", p, slices, tau, seed, grouping_tol=grouping_tol
+                mu_t, target, "est", p, slices, tau, seed, grouping_tol=grouping_tol,
+                need_plan=False,
             )[1]
         row["w_exact"] = transport(mu_t, target, "exact", p)[1]
         for lam in lambdas:

@@ -185,11 +185,11 @@ def main() -> None:
 def distance(source, target, fmt, method, per_slice, **options):
     """Print the distance between two measure files (12 significant digits)."""
     mu, nu = _load_pair(source, target)
-    _plan, dist, detail = transport(mu, nu, method, **options)
+    _plan, dist, detail = transport(mu, nu, method, need_plan=False, **options)
     # Only the averaged plan has per-slice costs and weights.
     rows = []
     if per_slice and method == "est":
-        rows = list(enumerate(zip(detail.per_slice_costs, detail.slice_weights)))
+        rows = list(enumerate(zip(*detail)))
     if fmt == "json":
         payload: dict = {"distance": float(dist), "method": method}
         if "seed" in METHODS[method]:
@@ -265,12 +265,12 @@ def interpolate_cmd(source, target, out_dir, fmt, method, steps, **options):
     )
 
 
-# Each experiment takes the parsed --taus and --lambdas lists and the
-# options, and returns its table: (file name, header, columns).  A column's
-# dtype sets how it is printed.
+# Each experiment takes the options it reads, --taus and --lambdas parsed
+# into lists, and returns its table: (file name, header, columns).  A
+# column's dtype sets how it is printed.
 
 
-def _weak_convergence(taus, lambdas, p, slices, seed, grouping_tol, lam):
+def _weak_convergence(p, slices, seed, grouping_tol, taus, lambdas):
     mu, nu = gaussian_pair(size=50, dim=2, shift=3.0, seed=seed)
     ts = [round(0.1 * k, 1) for k in range(10)] + [0.99, 1.0]
     rows = weak_convergence_table(mu, nu, ts, slices=slices, taus=taus, lambdas=lambdas, seed=seed,
@@ -279,7 +279,7 @@ def _weak_convergence(taus, lambdas, p, slices, seed, grouping_tol, lam):
     return "weak_convergence.csv", header, [np.array([row[k] for row in rows]) for k in header]
 
 
-def _temperature_sweep(taus, lambdas, p, slices, seed, grouping_tol, lam):
+def _temperature_sweep(p, slices, seed, grouping_tol, taus):
     rng = np.random.default_rng(seed)
     n = 30
     mu = make_measure(rng.standard_normal((n, 2)), np.full(n, 1.0 / n))
@@ -291,7 +291,7 @@ def _temperature_sweep(taus, lambdas, p, slices, seed, grouping_tol, lam):
              np.array([len(plan) for plan, _, _ in runs], dtype=int)])
 
 
-def _embed_bench(taus, lambdas, p, slices, seed, grouping_tol, lam):
+def _embed_bench(p, slices, seed, grouping_tol, lam):
     clouds, labels = two_class_task(seed=seed)
     ref = reference_measure(size=50, dim=2, seed=seed)
     names, accuracies = [], []
@@ -304,10 +304,13 @@ def _embed_bench(taus, lambdas, p, slices, seed, grouping_tol, lam):
     return "embed_bench.csv", ["method", "accuracy"], [np.array(names), np.array(accuracies)]
 
 
+# Each experiment with the options it reads, which its sidecar records: as
+# with METHODS, an option an experiment ignores is not written down.
 EXPERIMENTS = {
-    "weak-convergence": _weak_convergence,
-    "temperature-sweep": _temperature_sweep,
-    "embed-bench": _embed_bench,
+    "weak-convergence": (_weak_convergence,
+                         ("p", "slices", "seed", "grouping_tol", "taus", "lambdas")),
+    "temperature-sweep": (_temperature_sweep, ("p", "slices", "seed", "grouping_tol", "taus")),
+    "embed-bench": (_embed_bench, ("p", "slices", "seed", "grouping_tol", "lam")),
 }
 
 
@@ -323,15 +326,17 @@ EXPERIMENTS = {
     "--lambda", "lam", type=float, default=10.0, show_default=True, callback=_checked(_check_lam),
     help="Embedding regularizer.",
 )
-def experiment(name, out_dir, taus, lambdas, **options):
+def experiment(name, out_dir, **options):
     """Run a named experiment and write plot-ready CSV tables."""
     if name not in EXPERIMENTS:
         _fail(
             EXIT_UNKNOWN_EXPERIMENT,
             f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}",
         )
+    run, names = EXPERIMENTS[name]
     out_path = _ensure_out_dir(out_dir)
-    file_name, header, columns = EXPERIMENTS[name](_float_list(taus), _float_list(lambdas), **options)
+    args = {k: _float_list(options[k]) if k in ("taus", "lambdas") else options[k] for k in names}
+    file_name, header, columns = run(**args)
     try:
         io._write_rows(out_path / file_name, header, columns)
     except OSError as exc:
@@ -341,9 +346,7 @@ def experiment(name, out_dir, taus, lambdas, **options):
         {
             "command": "experiment",
             "experiment": name,
-            "taus": taus,
-            "lambdas": lambdas,
-            **_sidecar(options, options),
+            **_sidecar(options, names),
         },
     )
 

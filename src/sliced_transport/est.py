@@ -32,7 +32,8 @@ so results are reproducible bit for bit.  A key whose mass underflows to
 Memory follows the plan, not the slice count: the merge holds the lifted
 entries once as keys and masses plus one sort order, and hands its sorted,
 unique keys to the plan without a second sort or copy.  ``min_swgg`` keeps
-only the cheapest slice's entries seen so far.
+only the cheapest slice's entries seen so far, and a caller that reads only
+the distance (``applications.transport(..., need_plan=False)``) keeps none.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import DimensionMismatch, TransportError
 from .lifting import _check_costs, _check_run, _chunks
 from .measures import DiscreteMeasure, TransportPlan, _readonly, _trusted
-from .slicing import DEFAULT_GROUPING_TOL, _check_directions
+from .slicing import DEFAULT_GROUPING_TOL, _breaks, _check_directions
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -103,18 +104,21 @@ def _plan(n: int, m: int, key: np.ndarray, mass: np.ndarray) -> TransportPlan:
     keep = mass > 0
     if not keep.all():
         key, mass = key[keep], mass[keep]
-    i, j = np.divmod(key, m)
-    return _trusted(TransportPlan, n, m, i, j, mass)
+    i = key // m
+    key -= i * m
+    return _trusted(TransportPlan, n, m, i, key, mass)
 
 
 # An overflowing cost is reported once, as the TransportError below.
 @np.errstate(over="ignore")
-def _run(source, target, directions, p, grouping_tol, weigh):
+def _run(source, target, directions, p, grouping_tol, weigh, merge=True):
     """Lift along every direction and merge the slices under ``weigh(costs)``.
 
     Checks the inputs once, and the per-slice costs before they are
     weighed.  Returns the merged plan, the per-slice costs and the slice
-    weights; slices of weight 0 add nothing to the plan.
+    weights; slices of weight 0 add nothing to the plan.  Without ``merge``
+    each chunk's lifted entries are dropped once costed and the plan is
+    None, so memory stays at one chunk's working set whatever L is.
     """
     directions = _check_run(source, target, directions, p, grouping_tol)
     count, size = directions.shape[0], len(target)
@@ -124,6 +128,8 @@ def _run(source, target, directions, p, grouping_tol, weigh):
         source, target, directions, p, grouping_tol
     ):
         costs[slices] = block_costs
+        if not merge:
+            continue
         # Keys (i, j, slice) are unique, so a plain sort orders every
         # (i, j) run by slice, as a stable sort of (i, j) in slice order would.
         key = i * size + j
@@ -132,6 +138,8 @@ def _run(source, target, directions, p, grouping_tol, weigh):
         blocks.append((slices, bounds, key, mass))
     _check_costs(costs, p)
     weights = weigh(costs)
+    if not merge:
+        return None, costs, weights
     keys, masses = [], []
     for slices, bounds, key, mass in blocks:
         scale = np.repeat(weights[slices], np.diff(bounds))
@@ -149,13 +157,13 @@ def _run(source, target, directions, p, grouping_tol, weigh):
     mass = np.concatenate(masses)
     del masses
     order = np.argsort(key)
-    key = key[order]
-    mass = mass[order]
+    key = np.take(key, order)
+    mass = np.take(mass, order)
     del order
     key //= count
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    starts = np.flatnonzero(_breaks(key)[:-1])
     mass = np.add.reduceat(mass, starts)
-    key = key[starts]
+    key = np.take(key, starts)
     del starts
     return _plan(len(source), size, key, mass), costs, weights
 
@@ -230,12 +238,17 @@ def est_plan_tempered(
     per-slice plans.  tau = 0 reproduces :func:`est_plan` with uniform
     weights bit for bit.
     """
+    return EstResult(*_tempered(source, target, directions, p, tau, grouping_tol))
+
+
+def _tempered(source, target, directions, p, tau, grouping_tol, merge=True):
+    """Plan, distance, costs and weights of the tempered average (see ``_run``)."""
     _check_tau(tau)
     plan, costs, weights = _run(
         source, target, directions, p, grouping_tol,
-        lambda costs: sigma_tau_weights(costs**p, tau),
+        lambda costs: sigma_tau_weights(costs**p, tau), merge,
     )
-    return EstResult(plan, _fold_distance(weights, costs, p), costs, weights)
+    return plan, _fold_distance(weights, costs, p), costs, weights
 
 
 def min_swgg(
@@ -269,4 +282,5 @@ def min_swgg(
     _check_costs(costs, p)
     key, mass = entries
     order = np.argsort(key)
-    return best, _plan(len(source), size, key[order], mass[order]), float(costs[best])
+    plan = _plan(len(source), size, np.take(key, order), np.take(mass, order))
+    return best, plan, float(costs[best])

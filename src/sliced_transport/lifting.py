@@ -126,11 +126,12 @@ def _chunks(source: DiscreteMeasure, target: DiscreteMeasure, directions: np.nda
         single = opens_s.all(axis=1) & opens_t.all(axis=1)
         rows = np.flatnonzero(single)
         if rows.size:
-            order_s, order_t = order_s[rows], order_t[rows]
-            r, a, b, mass = _monotone(source.weights[order_s], target.weights[order_t])
+            order_s, order_t = np.take(order_s, rows, axis=0), np.take(order_t, rows, axis=0)
+            r, a, b, mass = _monotone(np.take(source.weights, order_s),
+                                      np.take(target.weights, order_t))
             # Every class is one atom, so the lift gives each 1D entry back
             # unchanged (w / w is exactly 1): only the indices change.
-            i, j = order_s.ravel()[r * n + a], order_t.ravel()[r * m + b]
+            i, j = np.take(order_s, r * n + a), np.take(order_t, r * m + b)
             bounds = np.searchsorted(r, np.arange(rows.size + 1))
             costs = _plan_costs(source.atoms, target.atoms, i, j, mass, p, bounds)
             yield lo + rows, bounds, i, j, mass, costs

@@ -226,14 +226,22 @@ def plan_cost(
 def _plan_costs(x: np.ndarray, y: np.ndarray, i, j, mass, p: float, bounds) -> np.ndarray:
     """Costs of the plans held in the entry segments ``bounds[k]:bounds[k + 1]``.
 
-    Each cost sums its own segment with ``np.sum``, so it has the bits it
-    would have on its own.
+    The rows of ``x`` and ``y`` are gathered with ``np.take`` and the
+    difference, the distance, its p-th power and the weighting by mass are
+    computed in place, in the order ``mass * |x_i - y_j| ** p`` would round
+    them.  Each cost sums its own segment with ``np.add.reduce`` (what
+    ``np.sum`` runs), so it has the bits it would have on its own.
     """
-    diffs = x[i] - y[j]
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    terms = mass * dists**p
+    diffs = np.take(x, i, axis=0)
+    diffs -= np.take(y, j, axis=0)
+    terms = np.einsum("ij,ij->i", diffs, diffs)
+    del diffs
+    np.sqrt(terms, out=terms)
+    terms **= p
+    terms *= mass
     return np.array(
-        [max(float(np.sum(terms[s:e])), 0.0) ** (1.0 / p) for s, e in zip(bounds[:-1], bounds[1:])]
+        [max(float(np.add.reduce(terms[s:e])), 0.0) ** (1.0 / p)
+         for s, e in zip(bounds[:-1], bounds[1:])]
     )
 
 

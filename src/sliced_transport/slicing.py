@@ -182,12 +182,21 @@ def _projections(atoms: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """The (L, n) products ``directions @ atoms.T``, summed over d left to right.
 
     Elementwise products and sums give every entry the same bits whatever
-    the number of directions; a BLAS product does not promise that.
+    the number of directions; a BLAS product does not promise that.  The
+    coordinates are copied out as contiguous rows once, and each one's
+    product goes through one scratch array added to the sum in place.
     """
-    out = directions[:, :1] * atoms[:, 0]
-    for k in range(1, atoms.shape[1]):
-        out += directions[:, k : k + 1] * atoms[:, k]
+    coords = atoms.T.copy()
+    out = directions[:, :1] * coords[0]
+    scratch = np.empty_like(out)
+    for k in range(1, coords.shape[0]):
+        out += np.multiply(directions[:, k : k + 1], coords[k], out=scratch)
     return out
+
+
+def _take_rows(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``take_along_axis(values, order, axis=1)`` as one flat ``np.take``."""
+    return np.take(values, order + np.arange(0, values.size, values.shape[1])[:, None])
 
 
 def _sort_rows(atoms: np.ndarray, directions: np.ndarray, grouping_tol: float):
@@ -202,7 +211,7 @@ def _sort_rows(atoms: np.ndarray, directions: np.ndarray, grouping_tol: float):
     # vectorized) sort gives the stable order unless a row holds a tie;
     # only those rows are sorted again, stably.
     order = np.argsort(proj, axis=1)
-    values = np.take_along_axis(proj, order, axis=1)
+    values = _take_rows(proj, order)
     tied = np.flatnonzero(~(values[:, 1:] > values[:, :-1]).all(axis=1))
     if tied.size:
         order[tied] = np.argsort(proj[tied], axis=1, kind="stable")
@@ -246,6 +255,13 @@ def project(
                     np.append(heads, len(order)), weights)
 
 
+def _breaks(keys: np.ndarray) -> np.ndarray:
+    """``len(keys) + 1`` flags: True at both ends and between unequal neighbours."""
+    edge = np.ones(keys.shape[0] + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    return edge
+
+
 def _monotone(ms: np.ndarray, mt: np.ndarray):
     """Rows, class indices and masses ``(r, a, b, mass)`` of monotone couplings.
 
@@ -254,7 +270,9 @@ def _monotone(ms: np.ndarray, mt: np.ndarray):
     cumulative masses of both sides, merged, cut the mass interval into
     entries; cuts of opposite sides within RESIDUAL_CLAMP coincide.  An
     entry ships the gap between its cuts, or the exact class mass when it
-    carries a whole class, as a north-west-corner sweep would.  Every step
+    carries a whole class, as a north-west-corner sweep would.  Entries come
+    out sorted by row and class on both sides, so a class has one entry
+    where its neighbours' classes differ; no class is counted.  Every step
     works within a row, so a row's entries do not depend on the others.
     """
     rows, k = ms.shape
@@ -267,7 +285,7 @@ def _monotone(ms: np.ndarray, mt: np.ndarray):
     width = cuts.shape[1]
     order = np.argsort(cuts, axis=1, kind="stable")
     count = order.argmin(axis=1)
-    level = np.take_along_axis(cuts, order, axis=1)
+    level = _take_rows(cuts, order)
     on_target = order >= k
     opens = np.ones(cuts.shape, dtype=bool)
     opens[:, 1:] = (level[:, 1:] - level[:, :-1] >= RESIDUAL_CLAMP) | (
@@ -276,20 +294,21 @@ def _monotone(ms: np.ndarray, mt: np.ndarray):
     opens[np.arange(rows), count] = True
     opens &= np.arange(width) <= count[:, None]
     flat = np.flatnonzero(opens)
-    r, at = np.divmod(flat, width)
-    b = (np.cumsum(on_target, axis=1) - on_target).ravel()[flat]
+    r = flat // width
+    at = flat - r * width
+    b = np.take(np.cumsum(on_target, axis=1) - on_target, flat)
     a = at - b
-    gaps = level.ravel()[flat]
+    gaps = np.take(level, flat)
     gaps[1:] -= np.where(at[1:] > 0, gaps[:-1], 0.0)
     # A class is whole in its only entry, unless that is the last entry of
     # its row and the other side ends first.
     ga, gb = r * k + a, r * mt.shape[1] + b
-    whole_a = np.bincount(ga)[ga] == 1
-    whole_b = np.bincount(gb)[gb] == 1
-    last = np.flatnonzero(np.r_[r[1:] != r[:-1], True])
+    ea, eb = _breaks(ga), _breaks(gb)
+    whole_a, whole_b = ea[:-1] & ea[1:], eb[:-1] & eb[1:]
+    last = np.flatnonzero(_breaks(r)[1:])
     whole_a[last] &= source_ends
     whole_b[last] &= ct[:, -1] <= cs[:, -1]
-    ma, mb = ms.ravel()[ga], mt.ravel()[gb]
+    ma, mb = np.take(ms, ga), np.take(mt, gb)
     mass = np.where(whole_a, np.where(whole_b, np.minimum(ma, mb), ma), np.where(whole_b, mb, gaps))
     keep = mass > 0
     return r[keep], a[keep], b[keep], mass[keep]

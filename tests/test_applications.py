@@ -1,6 +1,7 @@
 """Interpolation, geodesics, barycentric projection, embeddings."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,8 +196,10 @@ def test_transport_is_the_direct_solver_call(method):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_methods_ignore_the_options_outside_their_entry(method):
-    # OPTIONS holds a non-default value for every option of transport.
-    assert set(OPTIONS) == set(inspect.signature(transport).parameters) - {"source", "target", "method"}
+    # OPTIONS holds a non-default value for every option of transport;
+    # need_plan chooses what is returned, not what is computed.
+    assert set(OPTIONS) == (set(inspect.signature(transport).parameters)
+                            - {"source", "target", "method", "need_plan"})
     mu, nu = random_pair(7, max_n=20, max_d=3)
     plan, dist, _ = transport(mu, nu, method)
     for name in set(OPTIONS) - {"p", *METHODS[method]}:
@@ -204,6 +207,40 @@ def test_methods_ignore_the_options_outside_their_entry(method):
         for field in ("i", "j", "mass"):
             assert getattr(other, field).tobytes() == getattr(plan, field).tobytes(), name
         assert other_dist == dist, name
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_transport_without_the_plan_keeps_the_distance_bits(method):
+    mu, nu = random_pair(7, max_n=20, max_d=3)
+    plan, dist, detail = transport(mu, nu, method, **OPTIONS)
+    no_plan, no_plan_dist, no_plan_detail = transport(mu, nu, method, need_plan=False, **OPTIONS)
+    assert no_plan_dist == dist
+    if method == "est":
+        assert no_plan is None
+        costs, weights = no_plan_detail
+        assert costs.tobytes() == detail.per_slice_costs.tobytes()
+        assert weights.tobytes() == detail.slice_weights.tobytes()
+    else:
+        for field in ("i", "j", "mass"):
+            assert getattr(no_plan, field).tobytes() == getattr(plan, field).tobytes()
+        assert no_plan_detail == detail
+
+
+def test_est_distance_peak_memory_does_not_grow_with_the_slice_count():
+    # 16 slices fill one chunk at n + m = 512; 256 slices take sixteen.  With
+    # the plan, the merge holds every slice's entries.
+    mu, nu = gaussian_pair(size=256, dim=2, shift=1.0, seed=0)
+    peaks = {}
+    for need_plan in (False, True):
+        for count in (16, 256):
+            tracemalloc.start()
+            try:
+                transport(mu, nu, "est", slices=count, need_plan=need_plan)
+                peaks[need_plan, count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[False, 256] <= 1.5 * peaks[False, 16]
+    assert peaks[True, 256] > 2 * peaks[True, 16]
 
 
 def test_transport_unknown_method_names_the_known_ones():

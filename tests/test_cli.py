@@ -1,5 +1,6 @@
 """End-to-end command-line behavior via click's test runner."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from sliced_transport import (
     validate_coupling,
     wasserstein_exact,
 )
+from sliced_transport import cli
 from sliced_transport.cli import main
 from util import random_pair
 
@@ -297,8 +299,7 @@ def test_experiment_temperature_sweep(runner, tmp_path):
     assert distances[0] >= distances[1] >= distances[2]
     meta = json.loads((out / "meta.json").read_text())
     assert meta["experiment"] == "temperature-sweep"
-    assert set(meta) == {"command", "experiment", "taus", "lambdas", "lambda", "seed", "p", "slices",
-                         "grouping_tol"}
+    assert set(meta) == {"command", "experiment", "taus", "seed", "p", "slices", "grouping_tol"}
 
 
 def test_experiment_weak_convergence_small(runner, tmp_path):
@@ -351,6 +352,37 @@ def test_experiment_embed_bench(runner, tmp_path, monkeypatch):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["experiment"] == "embed-bench" and meta["grouping_tol"] == 0.5
     assert seen == [0.5] * 80
+
+
+@pytest.mark.parametrize("name, own_keys", [("weak-convergence", {"taus", "lambdas"}),
+                                             ("temperature-sweep", {"taus"}),
+                                             ("embed-bench", {"lambda"})])
+def test_experiment_sidecar_records_the_options_the_experiment_reads(runner, tmp_path, monkeypatch,
+                                                                     name, own_keys):
+    # An experiment receives exactly the options its entry names, so the
+    # sidecar cannot miss one it reads; a stub stands in for the study.
+    run, names = cli.EXPERIMENTS[name]
+    assert set(names) == set(inspect.signature(run).parameters)
+    seen = {}
+
+    def stub(**kwargs):
+        seen.update(kwargs)
+        return "table.csv", ["x"], [np.array([1.0])]
+
+    monkeypatch.setitem(cli.EXPERIMENTS, name, (stub, names))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", name, str(out), "--slices", "5", "--taus", "0,2",
+                                  "--lambdas", "3", "--lambda", "4"])
+    assert result.exit_code == 0, result.output
+    assert set(seen) == set(names)
+    meta = json.loads((out / "meta.json").read_text())
+    assert set(meta) == {"command", "experiment", "p", "slices", "seed", "grouping_tol"} | own_keys
+    assert meta["slices"] == seen["slices"] == 5
+    for key, parsed, text in (("taus", [0.0, 2.0], "0,2"), ("lambdas", [3.0], "3")):
+        if key in own_keys:
+            assert seen[key] == parsed and meta[key] == text
+    if "lambda" in own_keys:
+        assert seen["lam"] == meta["lambda"] == 4.0
 
 
 @pytest.mark.parametrize("name", ["weak-convergence", "temperature-sweep", "embed-bench"])

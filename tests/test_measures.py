@@ -24,7 +24,8 @@ from sliced_transport import (
     sample_sphere,
     validate_coupling,
 )
-from util import random_pair, random_measure
+from sliced_transport.measures import _plan_costs
+from util import plan_costs_by_fancy_index, random_pair, random_measure
 
 
 def test_make_measure_keeps_atoms_and_weights():
@@ -200,6 +201,22 @@ def test_plan_cost_symmetric_under_transpose():
         a = plan_cost(plan, mu, nu, 2.0)
         b = plan_cost(flipped, nu, mu, 2.0)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_plan_costs_match_the_reference_bit_for_bit(d, p):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((30, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    y = rng.standard_normal((20, d))
+    # Repeated indices, and one-entry segments between longer ones.
+    i, j = rng.integers(0, 30, 300), rng.integers(0, 20, 300)
+    i[:60], j[100:140] = 3, 7
+    mass = rng.random(300) * 10.0 ** rng.integers(-20, 1, size=300)
+    for bounds in ([0, 300], [0, 1, 2, 40, 41, 120, 299, 300], list(range(301))):
+        got = _plan_costs(x, y, i, j, mass, p, np.array(bounds))
+        want = plan_costs_by_fancy_index(x, y, i, j, mass, p, np.array(bounds))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_validate_coupling_product_is_exact():

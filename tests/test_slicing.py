@@ -17,8 +17,14 @@ from sliced_transport import (
     sample_sphere,
     solve_1d,
 )
-from sliced_transport.slicing import DEFAULT_GROUPING_TOL, _projections, _sort_rows
-from util import adversarial_pair, random_measure, running_representative_starts, worked_example
+from sliced_transport.slicing import DEFAULT_GROUPING_TOL, _monotone, _projections, _sort_rows
+from util import (
+    adversarial_pair,
+    monotone_by_counts,
+    random_measure,
+    running_representative_starts,
+    worked_example,
+)
 
 
 def test_project_groups_equal_projections():
@@ -242,6 +248,72 @@ def uniform_line(values):
 
 def weighted_line(values, weights):
     return project(make_measure([(v,) for v in values], weights), np.array([1.0]))
+
+
+def assert_monotone_like_the_reference(ms, mt):
+    """The kernel's entries have the reference's bits; returns them."""
+    ms, mt = np.atleast_2d(np.asarray(ms, dtype=float)), np.atleast_2d(np.asarray(mt, dtype=float))
+    got, want = _monotone(ms, mt), monotone_by_counts(ms, mt)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    return got
+
+
+# Class masses with exact ties of cumulative sums, masses the running sum
+# absorbs, zero masses (whose entries are dropped) and arbitrary ones.
+class_mass = st.sampled_from([0.5, 0.25, 1 / 3, 0.1, 0.3, 1e-17, 1e-16, 0.0]) | st.floats(1e-6, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4),
+       widths=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+       scale=st.sampled_from([1.0, 1 - 2.0**-53, 1 + 2.0**-52, 1 + 1e-12]))
+def test_monotone_matches_the_reference_bit_for_bit(data, rows, widths, scale):
+    sides = []
+    for width in widths:
+        m = np.array(data.draw(st.lists(st.lists(class_mass, min_size=width, max_size=width),
+                                        min_size=rows, max_size=rows)))
+        m[m.sum(axis=1) == 0, 0] = 1.0
+        sides.append(m / m.sum(axis=1, keepdims=True))
+    ms, mt = sides[0], sides[1] * scale
+    r, a, b, mass = assert_monotone_like_the_reference(ms, mt)
+    # Every row's entries are those it has on its own.
+    for row in range(rows):
+        alone = _monotone(ms[row : row + 1], mt[row : row + 1])
+        sel = r == row
+        for got, want in zip((a[sel], b[sel], mass[sel]), alone[1:]):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_monotone_keeps_a_class_mass_the_running_sum_absorbs():
+    for mt in ([0.5, 0.5], [1.0], [0.25, 0.75], [0.5, 1e-17, 0.5]):
+        _, a, _, mass = assert_monotone_like_the_reference([0.5, 1e-17, 0.5], mt)
+        assert 1 in a and mass[a == 1].sum() == 1e-17
+
+
+def test_monotone_drops_zero_mass_entries():
+    _, a, _, mass = assert_monotone_like_the_reference([[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]],
+                                                       [[1.0, 0.0], [0.5, 0.5]])
+    assert (mass > 0).all() and 1 not in a[:2] and len(mass) == 4
+
+
+def test_monotone_single_class_rows():
+    for ms, mt in (([1.0], [1.0]), ([1.0], [0.3, 0.7]), ([0.3, 0.7], [1.0]),
+                   ([[1.0], [1.0]], [[0.2, 0.8], [1.0 - 2.0**-53, 2.0**-53]])):
+        r, _, _, _ = assert_monotone_like_the_reference(ms, mt)
+        rows, width = np.atleast_2d(mt).shape
+        assert np.array_equal(np.bincount(r), [max(len(np.atleast_2d(ms)[0]), width)] * rows)
+
+
+def test_monotone_multi_row_chunks_match_the_reference():
+    # Chunks of many rows, with heavy-tailed masses and masses the running
+    # sum absorbs.
+    rng = np.random.default_rng(5)
+    for rows, k, k2 in ((16, 256, 256), (3, 40, 7), (50, 1, 30)):
+        ms, mt = rng.pareto(0.5, (rows, k)) + 1e-12, rng.random((rows, k2)) + 0.05
+        ms[:, ::3] *= 1e-17
+        assert_monotone_like_the_reference(ms / ms.sum(axis=1, keepdims=True),
+                                           mt / mt.sum(axis=1, keepdims=True))
 
 
 def test_solve_1d_equal_masses_is_diagonal():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from sliced_transport import DiscreteMeasure, make_measure, sample_sphere
-from sliced_transport.slicing import DEFAULT_GROUPING_TOL
+from sliced_transport.slicing import DEFAULT_GROUPING_TOL, RESIDUAL_CLAMP
 
 E1 = np.array([1.0, 0.0])
 
@@ -85,6 +85,62 @@ def northwest_corner(ms, mt, clamp: float = 1e-15):
             b += 1
             rb = float(mt[b]) if b < len(mt) else 0.0
     return np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64), np.array(shipped)
+
+
+def monotone_by_counts(ms, mt):
+    """Reference for ``slicing._monotone``, bit for bit.
+
+    The same sweep over the merged cumulative masses, with the kernel's
+    earlier whole-class test: ``np.bincount`` counts every class's entries
+    and an entry is whole when its class has one.  Rows come out with
+    ``np.divmod`` and the sorted cuts with ``np.take_along_axis``.
+    """
+    rows, k = ms.shape
+    cs, ct = np.cumsum(ms, axis=1), np.cumsum(mt, axis=1)
+    source_ends = cs[:, -1] <= ct[:, -1]
+    ends = np.where(source_ends, cs[:, -1], ct[:, -1])
+    cuts = np.concatenate((ends[:, None], cs[:, :-1], ct[:, :-1]), axis=1)
+    width = cuts.shape[1]
+    order = np.argsort(cuts, axis=1, kind="stable")
+    count = order.argmin(axis=1)
+    level = np.take_along_axis(cuts, order, axis=1)
+    on_target = order >= k
+    opens = np.ones(cuts.shape, dtype=bool)
+    opens[:, 1:] = (level[:, 1:] - level[:, :-1] >= RESIDUAL_CLAMP) | (
+        on_target[:, 1:] == on_target[:, :-1]
+    )
+    opens[np.arange(rows), count] = True
+    opens &= np.arange(width) <= count[:, None]
+    flat = np.flatnonzero(opens)
+    r, at = np.divmod(flat, width)
+    b = (np.cumsum(on_target, axis=1) - on_target).ravel()[flat]
+    a = at - b
+    gaps = level.ravel()[flat]
+    gaps[1:] -= np.where(at[1:] > 0, gaps[:-1], 0.0)
+    ga, gb = r * k + a, r * mt.shape[1] + b
+    whole_a = np.bincount(ga)[ga] == 1
+    whole_b = np.bincount(gb)[gb] == 1
+    last = np.flatnonzero(np.r_[r[1:] != r[:-1], True])
+    whole_a[last] &= source_ends
+    whole_b[last] &= ct[:, -1] <= cs[:, -1]
+    ma, mb = ms.ravel()[ga], mt.ravel()[gb]
+    mass = np.where(whole_a, np.where(whole_b, np.minimum(ma, mb), ma), np.where(whole_b, mb, gaps))
+    keep = mass > 0
+    return r[keep], a[keep], b[keep], mass[keep]
+
+
+def plan_costs_by_fancy_index(x, y, i, j, mass, p: float, bounds) -> np.ndarray:
+    """Reference for ``measures._plan_costs``, bit for bit.
+
+    Gathers the rows by fancy indexing and forms ``mass * dists**p`` with a
+    new array per step; each segment's cost sums its own terms.
+    """
+    diffs = x[i] - y[j]
+    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    terms = mass * dists**p
+    return np.array(
+        [max(float(np.sum(terms[s:e])), 0.0) ** (1.0 / p) for s, e in zip(bounds[:-1], bounds[1:])]
+    )
 
 
 def running_representative_starts(values, tol: float) -> np.ndarray:
