@@ -22,7 +22,6 @@ from .applications import (
     weak_convergence_table,
 )
 from .errors import (
-    ClassMismatch,
     DimensionMismatch,
     IndexOutOfRange,
     InstanceTooLarge,
@@ -43,7 +42,7 @@ from .est import (
     min_swgg,
     sigma_tau_weights,
 )
-from .lifting import lift, lift_for_direction
+from .lifting import lift_for_direction
 from .measures import (
     DiscreteMeasure,
     TransportPlan,
@@ -54,19 +53,11 @@ from .measures import (
     validate_coupling,
 )
 from .oracles import sinkhorn, wasserstein_1d, wasserstein_exact
-from .slicing import (
-    OneDPlan,
-    ProjectedMeasure,
-    one_d_cost,
-    project,
-    sample_sphere,
-    solve_1d,
-)
+from .slicing import ProjectedMeasure, project, sample_sphere
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassMismatch",
     "DimensionMismatch",
     "DiscreteMeasure",
     "EmbeddingMatrix",
@@ -80,7 +71,6 @@ __all__ = [
     "NonFiniteAtoms",
     "NonPositiveTotalMass",
     "NonUnitDirection",
-    "OneDPlan",
     "ProjectedMeasure",
     "SliceSet",
     "TransportError",
@@ -95,12 +85,10 @@ __all__ = [
     "identity_coupling",
     "interpolate",
     "least_squares_accuracy",
-    "lift",
     "lift_for_direction",
     "lot_embed",
     "make_measure",
     "min_swgg",
-    "one_d_cost",
     "plan_cost",
     "product_coupling",
     "project",
@@ -108,7 +96,6 @@ __all__ = [
     "sample_sphere",
     "sigma_tau_weights",
     "sinkhorn",
-    "solve_1d",
     "transport",
     "two_class_task",
     "validate_coupling",

@@ -14,7 +14,7 @@ class DimensionMismatch(TransportError):
 
 
 class NonPositiveTotalMass(TransportError):
-    """Weights are negative, empty, or sum to a non-positive total."""
+    """Weights are negative or NaN, empty, or sum to a non-positive total."""
 
 
 class WeightSumOutOfTolerance(TransportError):
@@ -34,11 +34,7 @@ class NonUnitDirection(TransportError):
 
 
 class MassImbalance(TransportError):
-    """Two one-dimensional measures carry different total mass."""
-
-
-class ClassMismatch(TransportError):
-    """A one-dimensional plan references equivalence classes that do not exist."""
+    """Two measures carry different total mass."""
 
 
 class InstanceTooLarge(TransportError):

@@ -64,10 +64,11 @@ class SliceSet:
         directions = _check_directions(directions, directions.shape[-1] if directions.ndim else 0)
         if weights.shape != (directions.shape[0],):
             raise DimensionMismatch("need one weight per direction")
-        if np.any(weights < 0):
-            raise TransportError("slice weights must be nonnegative")
-        if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise TransportError("slice weights must sum to 1 within 1e-12")
+        # Written so that NaN fails both tests.
+        if not (weights >= 0).all():
+            raise TransportError("slice weights must be finite and nonnegative")
+        if not abs(float(weights.sum()) - 1.0) <= WEIGHT_SUM_TOL:
+            raise TransportError("slice weights must be finite and sum to 1 within 1e-12")
         object.__setattr__(self, "directions", _readonly(directions))
         object.__setattr__(self, "weights", _readonly(weights))
 

@@ -8,24 +8,22 @@ the member atoms of the two classes in proportion to their weights:
 for i in class a (source weight p_i, class mass P_a) and j in class b.
 Summing over a class pair recovers m, so the lifted plan couples the
 original measures whenever the 1D plan couples the projections.
+
+``_chunks`` is the one path from directions to lifted plans: it projects,
+solves in 1D (``slicing._monotone``) and lifts (``_spread``) a block of
+slices at a time, for the solvers of :mod:`est` and for
+``lift_for_direction``, the public entry for a single slice.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    ClassMismatch,
-    DimensionMismatch,
-    InstanceTooLarge,
-    MassImbalance,
-    TransportError,
-)
+from .errors import DimensionMismatch, InstanceTooLarge, MassImbalance, TransportError
 from .measures import DiscreteMeasure, TransportPlan, _check_p, _plan_costs
 from .slicing import (
     DEFAULT_GROUPING_TOL,
     MASS_BALANCE_TOL,
-    OneDPlan,
     ProjectedMeasure,
     _check_directions,
     _check_tol,
@@ -143,33 +141,6 @@ def _chunks(source: DiscreteMeasure, target: DiscreteMeasure, directions: np.nda
             bounds = np.array([0, i.shape[0]])
             costs = _plan_costs(source.atoms, target.atoms, i, j, mass, p, bounds)
             yield np.array([lo + row]), bounds, i, j, mass, costs
-
-
-def _check_projection(measure: DiscreteMeasure, proj: ProjectedMeasure, side: str) -> None:
-    # Provenance sanity check: member count and per-atom weights must match.
-    if proj.member_indices.shape[0] != len(measure) or not np.array_equal(
-        proj.member_weights, measure.weights[proj.member_indices]
-    ):
-        raise ClassMismatch(f"{side} projection does not describe the {side} measure")
-
-
-def lift(
-    source: DiscreteMeasure,
-    target: DiscreteMeasure,
-    proj_source: ProjectedMeasure,
-    proj_target: ProjectedMeasure,
-    plan1d: OneDPlan,
-) -> TransportPlan:
-    """Spread a 1D class plan over the member atoms of each class pair."""
-    _check_projection(source, proj_source, "source")
-    _check_projection(target, proj_target, "target")
-    if int(plan1d.a.max()) >= proj_source.n_classes or int(plan1d.a.min()) < 0:
-        raise ClassMismatch("1D plan references a missing source class")
-    if int(plan1d.b.max()) >= proj_target.n_classes or int(plan1d.b.min()) < 0:
-        raise ClassMismatch("1D plan references a missing target class")
-    i, j, mass = _spread(plan1d.a, plan1d.b, plan1d.mass, _layout(proj_source),
-                         _layout(proj_target))
-    return TransportPlan(len(source), len(target), i, j, mass)
 
 
 def lift_for_direction(

@@ -107,7 +107,7 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
     NonFiniteAtoms
         A NaN or infinite atom coordinate.
     NonPositiveTotalMass
-        Negative weights, no atoms, or total mass <= 0.
+        Negative or NaN weights, no atoms, or total mass <= 0.
     WeightSumOutOfTolerance
         Total mass differs from 1 by more than 1e-9.
     """
@@ -124,8 +124,8 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
         raise DimensionMismatch("weights must be a vector matching the atom count")
     if atoms_arr.shape[0] == 0:
         raise NonPositiveTotalMass("a measure needs at least one atom")
-    if np.any(weights_arr < 0):
-        raise NonPositiveTotalMass("weights must be nonnegative")
+    if not (weights_arr >= 0).all():
+        raise NonPositiveTotalMass("weights must be finite and nonnegative")
     total = float(weights_arr.sum())
     if total <= 0:
         raise NonPositiveTotalMass("total mass must be positive")
@@ -134,8 +134,9 @@ def make_measure(atoms, weights) -> DiscreteMeasure:
             f"weights sum to {total!r}, outside 1 +/- {WEIGHT_SUM_TOL}"
         )
     keep = weights_arr > 0
-    atoms_arr = atoms_arr[keep]
-    return DiscreteMeasure(atoms_arr, weights_arr[keep] / total)
+    if not keep.all():
+        atoms_arr, weights_arr = atoms_arr[keep], weights_arr[keep]
+    return DiscreteMeasure(atoms_arr, weights_arr / total)
 
 
 @dataclass(frozen=True, eq=False)

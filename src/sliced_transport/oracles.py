@@ -7,8 +7,8 @@ Three independent routes:
   Works on the p-th-power costs and takes the root only at the end.
 * ``wasserstein_1d``: closed-form 1D distance by inverse-CDF integration
   over the merged cumulative-mass breakpoints.  Deliberately shares no code
-  with ``solve_1d`` in :mod:`slicing`, so the two can cross-check each
-  other.
+  with ``_monotone`` in :mod:`slicing`, the 1D kernel of the sliced
+  solvers, so the two can cross-check each other.
 * ``sinkhorn``: entropic regularization, iterated in the log domain from
   the first step.  The regularizer ``lam`` applies to the raw
   ``|x - y|**p`` costs.

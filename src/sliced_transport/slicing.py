@@ -3,11 +3,13 @@
 Projecting a discrete measure onto a direction theta groups atoms whose
 projections coincide (up to a tolerance) into equivalence classes: the
 projected measure lives on the class values, each class carrying the summed
-mass of its members.  Between two projected measures the optimal plan for
-any strictly convex cost is the unique monotone coupling.  It is read off
-the merged cumulative class masses of the two sides: every cumulative mass
-is a cut, and the mass between two consecutive cuts ships from the source
-class to the target class that both contain it.
+mass of its members.  ``project`` does this for one direction and
+``_sort_rows`` for a block of directions at once.  Between two projected
+measures the optimal plan for any strictly convex cost is the unique
+monotone coupling, which ``_monotone`` reads off the merged cumulative
+class masses of the two sides, a block of slices at a time: every
+cumulative mass is a cut, and the mass between two consecutive cuts ships
+from the source class to the target class that both contain it.
 
 Grouping tolerance is relative: with ``tol = g * max(1, max|theta . x|)``,
 a sorted projection opens a new class when ``value - rep > tol``, ``rep``
@@ -23,20 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    MassImbalance,
-    NonUnitDirection,
-    TransportError,
-)
-from .measures import DiscreteMeasure, _check_p, _readonly, _trusted
+from .errors import DimensionMismatch, NonUnitDirection, TransportError
+from .measures import DiscreteMeasure, _trusted
 
 # Direction vectors must be unit length within this tolerance.
 UNIT_TOL = 1e-12
 # Cuts of opposite sides closer than this coincide, which keeps slivers of
 # float cancellation out of the plan.
 RESIDUAL_CLAMP = 1e-15
-# Totals of the two projected measures may differ by at most this much.
+# Totals of the two measures of a run may differ by at most this much.
 MASS_BALANCE_TOL = 1e-9
 
 DEFAULT_GROUPING_TOL = 1e-9
@@ -45,6 +42,10 @@ DEFAULT_GROUPING_TOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class ProjectedMeasure:
     """A measure pushed onto a line, grouped into equivalence classes.
+
+    The record ``project`` returns, built without checks: the invariants
+    below hold because ``project`` computes them, not because a constructor
+    tests them.  No function of the package takes one as input.
 
     Attributes
     ----------
@@ -67,93 +68,9 @@ class ProjectedMeasure:
     class_starts: np.ndarray
     member_weights: np.ndarray
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.class_values, dtype=float)
-        masses = np.asarray(self.class_masses, dtype=float)
-        members = np.asarray(self.member_indices, dtype=np.int64)
-        starts = np.asarray(self.class_starts, dtype=np.int64)
-        mweights = np.asarray(self.member_weights, dtype=float)
-        k = values.shape[0]
-        n = members.shape[0]
-        if masses.shape != (k,) or starts.shape != (k + 1,) or mweights.shape != (n,):
-            raise DimensionMismatch("projected measure arrays disagree on shape")
-        if k == 0:
-            raise TransportError("projected measure needs at least one class")
-        if (values[1:] <= values[:-1]).any():
-            raise TransportError("class values must be strictly increasing")
-        if not (masses > 0).all():
-            raise TransportError("class masses must be strictly positive")
-        if abs(float(masses.sum()) - 1.0) > MASS_BALANCE_TOL:
-            raise MassImbalance("class masses must sum to 1 within 1e-9")
-        if starts[0] != 0 or starts[-1] != n or (starts[1:] <= starts[:-1]).any():
-            raise TransportError("class offsets must partition the member list")
-        if (np.bincount(members, minlength=n) != 1).any():
-            raise TransportError("each atom index must appear in exactly one class")
-        sums = np.add.reduceat(mweights, starts[:-1])
-        if float(np.abs(sums - masses).max()) > 1e-12:
-            raise MassImbalance("member weights must sum to the class mass within 1e-12")
-        for name, arr in (
-            ("class_values", values),
-            ("class_masses", masses),
-            ("member_indices", members),
-            ("class_starts", starts),
-            ("member_weights", mweights),
-        ):
-            object.__setattr__(self, name, _readonly(np.array(arr)))
-
     @property
     def n_classes(self) -> int:
         return self.class_values.shape[0]
-
-    @property
-    def all_singletons(self) -> bool:
-        """True when every class holds exactly one atom."""
-        return self.n_classes == self.member_indices.shape[0]
-
-    def class_members(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """Atom indices and weights of class ``a``."""
-        lo, hi = self.class_starts[a], self.class_starts[a + 1]
-        return self.member_indices[lo:hi], self.member_weights[lo:hi]
-
-
-@dataclass(frozen=True, eq=False)
-class OneDPlan:
-    """Monotone coupling between two projected measures.
-
-    Entries (a, b, mass) reference class indices on each side.  Sorted
-    lexicographically; both index sequences are non-decreasing, so no two
-    entries cross.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    mass: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=np.int64)
-        b = np.asarray(self.b, dtype=np.int64)
-        mass = np.asarray(self.mass, dtype=float)
-        if not (a.shape == b.shape == mass.shape) or a.ndim != 1:
-            raise DimensionMismatch("plan entry arrays must share one length")
-        if a.size == 0:
-            raise TransportError("a one-dimensional plan needs at least one entry")
-        if np.any(np.diff(a) < 0) or np.any(np.diff(b) < 0):
-            raise TransportError("entries must be monotone in both class indices")
-        if not np.all(mass > 0):
-            raise TransportError("plan masses must be strictly positive")
-        object.__setattr__(self, "a", _readonly(np.array(a)))
-        object.__setattr__(self, "b", _readonly(np.array(b)))
-        object.__setattr__(self, "mass", _readonly(np.array(mass)))
-
-    def __len__(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def entries(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(a), int(b), float(m))
-            for a, b, m in zip(self.a, self.b, self.mass)
-        ]
 
 
 def _check_directions(directions, dim: int) -> np.ndarray:
@@ -243,8 +160,7 @@ def project(
 
     Atoms are sorted by projected value (original index as tie-break) and
     grouped by the running-representative rule of the module docstring.
-    The result is valid by construction, so it skips the checks that a
-    user-built ``ProjectedMeasure`` runs.
+    The result is valid by construction and built without checks.
     """
     theta = _check_directions(np.asarray(direction, dtype=float).reshape(1, -1), measure.dim)
     _check_tol(grouping_tol)
@@ -312,28 +228,6 @@ def _monotone(ms: np.ndarray, mt: np.ndarray):
     mass = np.where(whole_a, np.where(whole_b, np.minimum(ma, mb), ma), np.where(whole_b, mb, gaps))
     keep = mass > 0
     return r[keep], a[keep], b[keep], mass[keep]
-
-
-def solve_1d(source: ProjectedMeasure, target: ProjectedMeasure) -> OneDPlan:
-    """Unique monotone coupling between two projected measures.
-
-    Ships mass between the merged cumulative class masses of the two sides;
-    cuts closer than 1e-15 coincide.  Raises MassImbalance when the totals
-    differ by more than 1e-9.
-    """
-    ms = source.class_masses
-    mt = target.class_masses
-    if abs(float(ms.sum()) - float(mt.sum())) > MASS_BALANCE_TOL:
-        raise MassImbalance("projected measures carry different total mass")
-    return OneDPlan(*_monotone(ms[None], mt[None])[1:])
-
-
-def one_d_cost(source: ProjectedMeasure, target: ProjectedMeasure,
-               plan: OneDPlan, p: float = 2.0) -> float:
-    """Cost of a one-dimensional plan on the projected class values."""
-    _check_p(p)
-    gaps = np.abs(source.class_values[plan.a] - target.class_values[plan.b])
-    return float(np.sum(plan.mass * gaps**p)) ** (1.0 / p)
 
 
 def sample_sphere(count: int, dim: int, seed: int) -> np.ndarray:

@@ -9,7 +9,9 @@ is the four ``util.adversarial_pair`` regimes (five seeds each) and
 Gaussian and 1/3-grid pairs at d in {1, 2, 3, 8, 32}, each at p in {1.5, 2,
 3}.  Every case runs ``est_plan_tempered`` (tau = 3), ``est_plan`` with
 every other slice weight 0, ``min_swgg``, ``lift_for_direction``,
-``plan_cost``, ``interpolate`` and ``barycentric_projection``.  The CLI's
+``plan_cost``, ``interpolate`` and ``barycentric_projection``, and
+``project`` of both measures along its first direction (all five arrays of
+each ``ProjectedMeasure``).  The CLI's
 ``distance``, ``plan`` and ``interpolate`` outputs (sidecars included) are
 digested on one small pair.  pytest does not collect this file: its name
 does not start with ``test_``.
@@ -37,6 +39,7 @@ from sliced_transport import (  # noqa: E402
     make_measure,
     min_swgg,
     plan_cost,
+    project,
     sample_sphere,
 )
 from sliced_transport.applications import interpolate  # noqa: E402
@@ -93,6 +96,9 @@ def engine_digests():
     half = np.arange(SLICES) % 2 == 0
     half_weights = np.where(half, 1.0 / half.sum(), 0.0)
     for mu, nu, directions in cases():
+        for measure in (mu, nu):
+            proj = project(measure, directions[0])
+            add("project", b"".join(getattr(proj, f).tobytes() for f in proj.__dataclass_fields__))
         for p in P_VALUES:
             hot = est_plan_tempered(mu, nu, directions, p=p, tau=TAU)
             add("est_plan_tempered", _plan_bytes(hot.plan) + _floats(hot.distance)

@@ -231,6 +231,17 @@ def test_non_finite_atoms_exit_code(runner, tmp_path):
     assert "finite" in result.output
 
 
+def test_nan_weight_exit_code(runner, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("w,x1\n0.5,0.0\nnan,1.0\n0.5,2.0\n")
+    ok = tmp_path / "ok.csv"
+    io.write_measure_csv(make_measure([(0.0,)], [1.0]), ok)
+    result = runner.invoke(main, ["distance", str(bad), str(ok)])
+    assert result.exit_code == 2
+    assert "weights must be finite and nonnegative" in result.output
+    assert "strictly positive" not in result.output
+
+
 def test_solver_errors_exit_2_with_a_message(runner, pair_files, tmp_path):
     a, b, *_ = pair_files
     result = runner.invoke(main, ["distance", a, b, "--method", "sinkhorn", "--lambda", "-1"])

@@ -1,22 +1,20 @@
-"""Lifting 1D plans back to the ambient space."""
+"""Lifting 1D plans back to the ambient space: ``lift_for_direction`` and
+the ``_spread`` kernel."""
 
 import numpy as np
 import pytest
 
 from sliced_transport import (
-    ClassMismatch,
-    OneDPlan,
-    lift,
     lift_for_direction,
     make_measure,
     plan_cost,
     project,
     sample_sphere,
-    solve_1d,
     validate_coupling,
 )
 from sliced_transport import lifting
-from sliced_transport.slicing import DEFAULT_GROUPING_TOL
+from sliced_transport.lifting import _layout, _spread
+from sliced_transport.slicing import DEFAULT_GROUPING_TOL, _monotone
 from util import (
     adversarial_pair,
     dense,
@@ -30,10 +28,7 @@ from util import (
 def test_lift_worked_example_split():
     """One unit-mass class of two atoms splits 1:2 by target weight."""
     src, tgt, theta = worked_example()
-    ps = project(src, theta)
-    pt = project(tgt, theta)
-    plan1d = solve_1d(ps, pt)
-    plan = lift(src, tgt, ps, pt, plan1d)
+    plan, _ = lift_for_direction(src, tgt, theta)
 
     entries = {(i, j): m for i, j, m in plan.entries}
     # Source class {1,2} (mass 0.9, weights 0.3/0.6) ships 0.4 to the lone
@@ -58,20 +53,11 @@ def test_lift_singleton_classes_is_direct_copy():
     nu = make_measure([(0.5, 1.0), (1.5, 1.0)], [0.6, 0.4])
     theta = np.array([1.0, 0.0])
     ps, pt = project(mu, theta), project(nu, theta)
-    assert ps.all_singletons and pt.all_singletons
-    plan1d = solve_1d(ps, pt)
-    plan = lift(mu, nu, ps, pt, plan1d)
-    assert len(plan.entries) == len(plan1d.a)
-    np.testing.assert_array_equal(np.sort(plan.mass), np.sort(plan1d.mass))
-
-
-def test_lift_rejects_mismatched_projection():
-    src, tgt, theta = worked_example()
-    ps = project(src, theta)
-    pt = project(tgt, theta)
-    plan1d = solve_1d(ps, pt)
-    with pytest.raises(ClassMismatch):
-        lift(tgt, src, ps, pt, plan1d)
+    assert ps.n_classes == len(mu) and pt.n_classes == len(nu)
+    _, a, _, mass = _monotone(ps.class_masses[None], pt.class_masses[None])
+    plan, _ = lift_for_direction(mu, nu, theta)
+    assert len(plan.entries) == len(a)
+    np.testing.assert_array_equal(np.sort(plan.mass), np.sort(mass))
 
 
 def test_lift_for_direction_cost_matches_plan_cost():
@@ -115,9 +101,9 @@ def _reference_slice(mu, nu, theta):
     """Dense lifted plan of one slice from the reference loops, and whether
     the slice has a class of more than one atom."""
     ps, pt = project(mu, theta), project(nu, theta)
-    plan1d = OneDPlan(*northwest_corner(ps.class_masses, pt.class_masses))
-    grouped = not (ps.all_singletons and pt.all_singletons)
-    return dense(*lift_by_entry(ps, pt, plan1d), (len(mu), len(nu))), grouped
+    entries = northwest_corner(ps.class_masses, pt.class_masses)
+    grouped = ps.n_classes < len(mu) or pt.n_classes < len(nu)
+    return dense(*lift_by_entry(ps, pt, *entries), (len(mu), len(nu))), grouped
 
 
 @pytest.mark.parametrize("regime", ["exact-ties", "near-ties", "duplicates", "pareto"])
@@ -144,16 +130,16 @@ def test_kernels_match_the_reference_loops(regime, monkeypatch):
         ps, pt = project(mu, theta), project(nu, theta)
         grouped += ps.n_classes < len(mu) or pt.n_classes < len(nu)
         shape = (ps.n_classes, pt.n_classes)
-        plan1d = solve_1d(ps, pt)
-        got = dense(plan1d.a, plan1d.b, plan1d.mass, shape)
+        _, a, b, m1d = _monotone(ps.class_masses[None], pt.class_masses[None])
+        got = dense(a, b, m1d, shape)
         want = dense(*northwest_corner(ps.class_masses, pt.class_masses), shape)
         assert np.abs(got - want).max() <= tol, (regime, seed)
-        plan = lift(mu, nu, ps, pt, plan1d)
-        got = dense(plan.i, plan.j, plan.mass, (len(mu), len(nu)))
-        want = dense(*lift_by_entry(ps, pt, plan1d), (len(mu), len(nu)))
+        i, j, mass = _spread(a, b, m1d, _layout(ps), _layout(pt))
+        got = dense(i, j, mass, (len(mu), len(nu)))
+        want = dense(*lift_by_entry(ps, pt, a, b, m1d), (len(mu), len(nu)))
         assert np.abs(got - want).max() <= tol, (regime, seed)
-        pairs = np.diff(ps.class_starts)[plan1d.a] * np.diff(pt.class_starts)[plan1d.b]
-        floored += len(plan) < pairs.sum()
+        pairs = np.diff(ps.class_starts)[a] * np.diff(pt.class_starts)[b]
+        floored += len(mass) < pairs.sum()
     assert grouped > 0
     assert floored > 0 or regime != "pareto"  # the mass floor drops entries
     # In the other regimes repeated atoms group (nearly) every slice.

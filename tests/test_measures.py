@@ -92,6 +92,24 @@ def test_make_measure_rejects_negative_weight():
         make_measure([(0.0,), (1.0,)], [1.5, -0.5])
 
 
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan, 0.5], [math.nan, math.nan]])
+def test_make_measure_rejects_nan_weights(weights):
+    # NaN passes "< 0", "<= 0" and the sum tolerance alike; the message
+    # must not call it non-positive.
+    with pytest.raises(NonPositiveTotalMass, match="^weights must be finite and nonnegative$"):
+        make_measure(np.zeros((len(weights), 1)), weights)
+
+
+def test_make_measure_copies_the_atoms_once_and_leaves_the_caller_writable():
+    rng = np.random.default_rng(0)
+    atoms, weights = rng.standard_normal((50, 3)), np.full(50, 1 / 50)
+    m = make_measure(atoms, weights)
+    assert atoms.flags.writeable and weights.flags.writeable
+    assert not np.shares_memory(m.atoms, atoms) and not np.shares_memory(m.weights, weights)
+    assert m.atoms.tobytes() == atoms.tobytes()
+    assert m.weights.tobytes() == (weights / weights.sum()).tobytes()
+
+
 def test_make_measure_rejects_zero_total():
     with pytest.raises(NonPositiveTotalMass):
         make_measure([(0.0,), (1.0,)], [0.0, 0.0])

@@ -6,16 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliced_transport import (
-    MassImbalance,
     NonUnitDirection,
-    OneDPlan,
-    ProjectedMeasure,
     TransportError,
     make_measure,
-    one_d_cost,
     project,
     sample_sphere,
-    solve_1d,
 )
 from sliced_transport.slicing import DEFAULT_GROUPING_TOL, _monotone, _projections, _sort_rows
 from util import (
@@ -34,12 +29,11 @@ def test_project_groups_equal_projections():
     assert proj.n_classes == 2
     np.testing.assert_allclose(proj.class_values, [0.0, 1.0], atol=1e-15)
     np.testing.assert_allclose(proj.class_masses, [0.1, 0.9], atol=1e-15)
-    idx0, w0 = proj.class_members(0)
-    assert idx0.tolist() == [0]
-    np.testing.assert_array_equal(w0, [0.1])
-    idx1, w1 = proj.class_members(1)
-    assert sorted(idx1.tolist()) == [1, 2]
-    assert float(np.sum(w1)) == pytest.approx(0.9, abs=1e-15)
+    np.testing.assert_array_equal(proj.class_starts, [0, 1, 3])
+    assert proj.member_indices[:1].tolist() == [0]
+    np.testing.assert_array_equal(proj.member_weights[:1], [0.1])
+    assert sorted(proj.member_indices[1:].tolist()) == [1, 2]
+    assert float(np.sum(proj.member_weights[1:])) == pytest.approx(0.9, abs=1e-15)
 
 
 def test_project_worked_example_target():
@@ -53,8 +47,7 @@ def test_project_worked_example_target():
 def test_project_all_singletons_when_projections_differ():
     m = make_measure([(0.0,), (1.0,), (2.0,)], [0.2, 0.3, 0.5])
     proj = project(m, np.array([1.0]))
-    assert proj.all_singletons
-    assert proj.n_classes == 3
+    assert proj.n_classes == len(proj.member_indices) == 3
     np.testing.assert_array_equal(proj.class_values, [0.0, 1.0, 2.0])
 
 
@@ -316,49 +309,39 @@ def test_monotone_multi_row_chunks_match_the_reference():
                                            mt / mt.sum(axis=1, keepdims=True))
 
 
+def monotone_1d(u, v):
+    """The 1D solve: class indices and masses ``(a, b, mass)`` of the
+    monotone coupling of two projected measures, from the engine's kernel."""
+    return _monotone(u.class_masses[None], v.class_masses[None])[1:]
+
+
 def test_solve_1d_equal_masses_is_diagonal():
     u = uniform_line([0.0, 1.0, 2.0])
     v = uniform_line([5.0, 6.0, 7.0])
-    plan = solve_1d(u, v)
-    assert plan.a.tolist() == [0, 1, 2]
-    assert plan.b.tolist() == [0, 1, 2]
-    np.testing.assert_array_equal(plan.mass, [1.0 / 3.0] * 3)
+    a, b, mass = monotone_1d(u, v)
+    assert a.tolist() == [0, 1, 2]
+    assert b.tolist() == [0, 1, 2]
+    np.testing.assert_array_equal(mass, [1.0 / 3.0] * 3)
 
 
 def test_solve_1d_hand_derived_staircase():
     # Halves against thirds: the classic interleaving.
     u = weighted_line([0.0, 1.0], [0.5, 0.5])
     v = weighted_line([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
-    plan = solve_1d(u, v)
+    a, b, mass = monotone_1d(u, v)
     expect = [(0, 0, 1 / 3), (0, 1, 1 / 6), (1, 1, 1 / 6), (1, 2, 1 / 3)]
-    assert len(plan.a) == 4
-    for (ea, eb, em), a, b, m in zip(expect, plan.a, plan.b, plan.mass):
-        assert (ea, eb) == (a, b)
-        assert m == pytest.approx(em, abs=1e-15)
+    assert len(a) == 4
+    for (ea, eb, em), ga, gb, gm in zip(expect, a, b, mass):
+        assert (ea, eb) == (ga, gb)
+        assert gm == pytest.approx(em, abs=1e-15)
 
 
 def test_solve_1d_worked_example():
     src, tgt, theta = worked_example()
-    plan = solve_1d(project(src, theta), project(tgt, theta))
-    assert plan.a.tolist() == [0, 1, 1]
-    assert plan.b.tolist() == [0, 0, 1]
-    np.testing.assert_allclose(plan.mass, [0.1, 0.4, 0.5], atol=1e-12)
-
-
-def test_projected_measure_rejects_mass_imbalance():
-    with pytest.raises(MassImbalance):
-        ProjectedMeasure(
-            class_values=np.array([0.0, 1.0]),
-            class_masses=np.array([0.475, 0.475]),
-            member_indices=np.array([0, 1]),
-            class_starts=np.array([0, 1, 2]),
-            member_weights=np.array([0.475, 0.475]),
-        )
-
-
-def test_one_d_plan_rejects_non_monotone():
-    with pytest.raises(TransportError):
-        OneDPlan(np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5]))
+    a, b, mass = monotone_1d(project(src, theta), project(tgt, theta))
+    assert a.tolist() == [0, 1, 1]
+    assert b.tolist() == [0, 0, 1]
+    np.testing.assert_allclose(mass, [0.1, 0.4, 0.5], atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,25 +359,17 @@ def test_solve_1d_invariants(seed):
         np.sort(rng.standard_normal(nv) * 10).tolist(),
         (lambda w: (w / w.sum()).tolist())(rng.random(nv) + 0.05),
     )
-    plan = solve_1d(u, v)
+    a, b, mass = monotone_1d(u, v)
     # no more than K+M-1 entries
-    assert len(plan.a) <= u.n_classes + v.n_classes - 1
+    assert len(a) <= u.n_classes + v.n_classes - 1
     # both index sequences non-decreasing
-    assert np.all(np.diff(plan.a) >= 0)
-    assert np.all(np.diff(plan.b) >= 0)
+    assert np.all(np.diff(a) >= 0)
+    assert np.all(np.diff(b) >= 0)
     # marginals recover the class masses
-    row = np.bincount(plan.a, weights=plan.mass, minlength=u.n_classes)
-    col = np.bincount(plan.b, weights=plan.mass, minlength=v.n_classes)
+    row = np.bincount(a, weights=mass, minlength=u.n_classes)
+    col = np.bincount(b, weights=mass, minlength=v.n_classes)
     np.testing.assert_allclose(row, u.class_masses, atol=1e-12)
     np.testing.assert_allclose(col, v.class_masses, atol=1e-12)
-
-
-def test_one_d_cost_matches_manual_sum():
-    u = weighted_line([0.0, 1.0], [0.5, 0.5])
-    v = weighted_line([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
-    plan = solve_1d(u, v)
-    manual = (1 / 3) * 0 + (1 / 6) * 1 + (1 / 6) * 0 + (1 / 3) * 1
-    assert one_d_cost(u, v, plan, 2.0) == pytest.approx(manual ** 0.5, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -159,17 +159,20 @@ def running_representative_starts(values, tol: float) -> np.ndarray:
     return np.array(starts + [len(values)], dtype=np.int64)
 
 
-def lift_by_entry(proj_source, proj_target, plan1d, floor: float = 1e-15):
+def lift_by_entry(proj_source, proj_target, a1d, b1d, m1d, floor: float = 1e-15):
     """Reference lift, one 1D entry at a time.
 
-    Spreads each entry over the outer product of its two classes' member
-    weights, drops lifted masses below ``floor`` when some survive, and
-    rescales the survivors to the entry's total.  Returns ``(i, j, mass)``.
+    Spreads each 1D entry ``(a1d[k], b1d[k], m1d[k])`` over the outer
+    product of its two classes' member weights, drops lifted masses below
+    ``floor`` when some survive, and rescales the survivors to the entry's
+    total.  Returns ``(i, j, mass)``.
     """
     parts_i, parts_j, parts_m = [], [], []
-    for a, b, m in zip(plan1d.a, plan1d.b, plan1d.mass):
-        si, sw = proj_source.class_members(int(a))
-        ti, tw = proj_target.class_members(int(b))
+    for a, b, m in zip(a1d, b1d, m1d):
+        lo, hi = proj_source.class_starts[a], proj_source.class_starts[a + 1]
+        si, sw = proj_source.member_indices[lo:hi], proj_source.member_weights[lo:hi]
+        lo, hi = proj_target.class_starts[b], proj_target.class_starts[b + 1]
+        ti, tw = proj_target.member_indices[lo:hi], proj_target.member_weights[lo:hi]
         denom = float(proj_source.class_masses[a]) * float(proj_target.class_masses[b])
         flat = (float(m) / denom) * np.outer(sw, tw).ravel()
         ii = np.repeat(si, ti.shape[0])
