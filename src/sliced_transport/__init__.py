@@ -39,10 +39,10 @@ from .est import (
     SliceSet,
     est_plan,
     est_plan_tempered,
+    lift_for_direction,
     min_swgg,
     sigma_tau_weights,
 )
-from .lifting import lift_for_direction
 from .measures import (
     DiscreteMeasure,
     TransportPlan,

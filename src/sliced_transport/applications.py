@@ -149,6 +149,8 @@ def barycentric_projection(
     the reference weight; reference weights are strictly positive by
     construction, so the division is always defined.
     """
+    if reference.dim != target.dim:
+        raise DimensionMismatch("reference and target dimensions differ")
     _require_coupling(plan, reference, target)
     # One bincount per coordinate adds in entry order, as np.add.at would,
     # without an (entries, d) temporary.

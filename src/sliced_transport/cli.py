@@ -33,7 +33,7 @@ from .errors import TransportError
 from .est import _check_tau
 from .measures import DiscreteMeasure, _check_p, make_measure
 from .oracles import _check_lam
-from .slicing import _check_tol
+from .slicing import _check_seed, _check_tol
 
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
@@ -133,7 +133,7 @@ _OPTIONS = {
     "tau": click.option("--tau", type=float, default=0.0, show_default=True,
                         callback=_checked(_check_tau), help="Direction-weight temperature."),
     "seed": click.option("--seed", type=int, default=0, show_default=True,
-                         help="RNG seed for directions."),
+                         callback=_checked(_check_seed), help="RNG seed for directions."),
     "grouping_tol": click.option(
         "--grouping-tol", type=float, default=1e-9, show_default=True, callback=_checked(_check_tol),
         help="Relative tolerance for merging coincident projections.",

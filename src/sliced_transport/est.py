@@ -10,8 +10,11 @@ costs:
 With uniform weights this Monte-Carlo averages over directions; a
 temperature tau reweights directions by a softmax of -tau * cost_l**p,
 which interpolates between the uniform average (tau = 0) and the single
-cheapest direction (tau -> infinity).  All three entry points run one loop
-that differs only in how the slices are weighted.
+cheapest direction (tau -> infinity).  Every entry point is a call of one
+loop, ``_run``, that differs only in how the slices are weighted: the two
+averages, ``min_swgg`` (the cheapest slice at weight 1) and
+``lift_for_direction`` (one direction at weight 1).  ``_run`` is also the
+one place that checks a run's inputs and its per-slice costs.
 
 The loop takes the directions in chunks (``lifting._chunks``): one
 projection product and one row-wise sort per side for the whole chunk,
@@ -31,9 +34,10 @@ so results are reproducible bit for bit.  A key whose mass underflows to
 
 Memory follows the plan, not the slice count: the merge holds the lifted
 entries once as keys and masses plus one sort order, and hands its sorted,
-unique keys to the plan without a second sort or copy.  ``min_swgg`` keeps
-only the cheapest slice's entries seen so far, and a caller that reads only
-the distance (``applications.transport(..., need_plan=False)``) keeps none.
+unique keys to the plan without a second sort or copy.  A caller that
+reads only the distance (``applications.transport(..., need_plan=False)``)
+keeps no entries, and ``min_swgg`` keeps one slice's: it runs the loop for
+the costs alone, then lifts the cheapest slice again by itself.
 """
 
 from __future__ import annotations
@@ -42,10 +46,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TransportError
-from .lifting import _check_costs, _check_run, _chunks
-from .measures import DiscreteMeasure, TransportPlan, _readonly, _trusted
-from .slicing import DEFAULT_GROUPING_TOL, _breaks, _check_directions
+from .errors import DimensionMismatch, InstanceTooLarge, MassImbalance, TransportError
+from .lifting import _chunks
+from .measures import DiscreteMeasure, TransportPlan, _check_p, _readonly, _trusted
+from .slicing import (
+    DEFAULT_GROUPING_TOL,
+    MASS_BALANCE_TOL,
+    _breaks,
+    _check_directions,
+    _check_tol,
+)
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -96,33 +106,28 @@ class EstResult:
     slice_weights: np.ndarray
 
 
-def _plan(n: int, m: int, key: np.ndarray, mass: np.ndarray) -> TransportPlan:
-    """The plan of the increasing, unique keys ``i * m + j`` and their masses.
-
-    Entries whose mass underflowed to 0 are dropped.  The arrays are the
-    plan's own: nothing is checked, sorted or copied again.
-    """
-    keep = mass > 0
-    if not keep.all():
-        key, mass = key[keep], mass[keep]
-    i = key // m
-    key -= i * m
-    return _trusted(TransportPlan, n, m, i, key, mass)
-
-
 # An overflowing cost is reported once, as the TransportError below.
 @np.errstate(over="ignore")
 def _run(source, target, directions, p, grouping_tol, weigh, merge=True):
     """Lift along every direction and merge the slices under ``weigh(costs)``.
 
-    Checks the inputs once, and the per-slice costs before they are
-    weighed.  Returns the merged plan, the per-slice costs and the slice
-    weights; slices of weight 0 add nothing to the plan.  Without ``merge``
-    each chunk's lifted entries are dropped once costed and the plan is
-    None, so memory stays at one chunk's working set whatever L is.
+    The one loop from directions to plan, and the one place that checks a
+    run's inputs and, before they are weighed, its per-slice costs.
+    Returns the merged plan, the per-slice costs and the slice weights;
+    slices of weight 0 add nothing to the plan.  Without ``merge`` each
+    chunk's lifted entries are dropped once costed and the plan is None, so
+    memory stays at one chunk's working set whatever L is.
     """
-    directions = _check_run(source, target, directions, p, grouping_tol)
+    if source.dim != target.dim:
+        raise DimensionMismatch("source and target dimensions differ")
+    if abs(float(source.weights.sum()) - float(target.weights.sum())) > MASS_BALANCE_TOL:
+        raise MassImbalance("source and target carry different total mass")
+    _check_p(p)
+    directions = _check_directions(directions, source.dim)
+    _check_tol(grouping_tol)
     count, size = directions.shape[0], len(target)
+    if len(source) * size * count > np.iinfo(np.int64).max:
+        raise InstanceTooLarge("n * m * L exceeds the int64 range of the merge keys")
     costs = np.empty(count)
     blocks = []
     for slices, bounds, i, j, mass, block_costs in _chunks(
@@ -137,7 +142,8 @@ def _run(source, target, directions, p, grouping_tol, weigh, merge=True):
         key *= count
         key += np.repeat(slices, np.diff(bounds))
         blocks.append((slices, bounds, key, mass))
-    _check_costs(costs, p)
+    if not np.isfinite(costs).all():
+        raise TransportError(f"slice costs overflow: |x - y|**p exceeds the float range at p={p!r}")
     weights = weigh(costs)
     if not merge:
         return None, costs, weights
@@ -166,7 +172,14 @@ def _run(source, target, directions, p, grouping_tol, weigh, merge=True):
     mass = np.add.reduceat(mass, starts)
     key = np.take(key, starts)
     del starts
-    return _plan(len(source), size, key, mass), costs, weights
+    # The keys are increasing and unique, so the arrays become the plan's
+    # own without a check, sort or copy; masses that underflowed to 0 go.
+    keep = mass > 0
+    if not keep.all():
+        key, mass = key[keep], mass[keep]
+    i = key // size
+    key -= i * size
+    return _trusted(TransportPlan, len(source), size, i, key, mass), costs, weights
 
 
 def _fold_distance(weights: np.ndarray, costs: np.ndarray, p: float) -> float:
@@ -264,24 +277,29 @@ def min_swgg(
     Ties break toward the lowest slice index.  Equals the tau -> infinity
     limit of the tempered plan when the minimum cost is unique.
     """
-    directions = _check_run(source, target, directions, p, grouping_tol)
-    size = len(target)
-    costs = np.empty(directions.shape[0])
-    best = None
-    with np.errstate(over="ignore"):
-        for slices, bounds, i, j, mass, block_costs in _chunks(
-            source, target, directions, p, grouping_tol
-        ):
-            costs[slices] = block_costs
-            k = int(np.argmin(block_costs))
-            # A chunk yields its grouped slices after its other ones, so a
-            # tie goes to the lower index, not to the earlier block.
-            if best is None or (block_costs[k], slices[k]) < (costs[best], best):
-                best, lo, hi = int(slices[k]), bounds[k], bounds[k + 1]
-                entries = (i[lo:hi] * size + j[lo:hi], mass[lo:hi].copy())
-            del i, j, mass
-    _check_costs(costs, p)
-    key, mass = entries
-    order = np.argsort(key)
-    plan = _plan(len(source), size, np.take(key, order), np.take(mass, order))
+    _, costs, _ = _run(source, target, directions, p, grouping_tol, np.ones_like, merge=False)
+    best = int(np.argmin(costs))
+    # Each slice is computed on its own row, so lifting the cheapest one
+    # again gives the bits it had among all of them.
+    single = np.asarray(directions, dtype=float)[best : best + 1]
+    plan = _run(source, target, single, p, grouping_tol, np.ones_like)[0]
     return best, plan, float(costs[best])
+
+
+def lift_for_direction(
+    source: DiscreteMeasure,
+    target: DiscreteMeasure,
+    direction,
+    p: float = 2.0,
+    grouping_tol: float = DEFAULT_GROUPING_TOL,
+) -> tuple[TransportPlan, float]:
+    """Project both measures onto a direction, solve in 1D, lift back.
+
+    Returns the lifted plan together with its ambient cost
+    ``plan_cost(plan, source, target, p)``, the slice's contribution to the
+    sliced distance.  A cost that overflows the float range raises
+    TransportError.
+    """
+    direction = np.asarray(direction, dtype=float).reshape(1, -1)
+    plan, costs, _ = _run(source, target, direction, p, grouping_tol, np.ones_like)
+    return plan, float(costs[0])

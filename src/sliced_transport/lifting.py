@@ -11,26 +11,16 @@ original measures whenever the 1D plan couples the projections.
 
 ``_chunks`` is the one path from directions to lifted plans: it projects,
 solves in 1D (``slicing._monotone``) and lifts (``_spread``) a block of
-slices at a time, for the solvers of :mod:`est` and for
-``lift_for_direction``, the public entry for a single slice.
+slices at a time.  This module holds kernels only: the one caller of
+``_chunks``, ``est._run``, checks the inputs and the costs for every solver.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InstanceTooLarge, MassImbalance, TransportError
-from .measures import DiscreteMeasure, TransportPlan, _check_p, _plan_costs
-from .slicing import (
-    DEFAULT_GROUPING_TOL,
-    MASS_BALANCE_TOL,
-    ProjectedMeasure,
-    _check_directions,
-    _check_tol,
-    _monotone,
-    _sort_rows,
-    project,
-)
+from .measures import DiscreteMeasure, _plan_costs
+from .slicing import ProjectedMeasure, _monotone, _sort_rows, project
 
 # Lifted entries below this mass are dropped; their total is re-added
 # proportionally to the surviving entries of the same 1D entry so the
@@ -40,19 +30,6 @@ MASS_FLOOR = 1e-15
 # divided by n + m slices, at least one.  Every slice is computed on its
 # own row, so results do not depend on it.
 CHUNK_ATOMS = 8192
-
-
-def _check_pair(source: DiscreteMeasure, target: DiscreteMeasure, p: float) -> None:
-    if source.dim != target.dim:
-        raise DimensionMismatch("source and target dimensions differ")
-    if abs(float(source.weights.sum()) - float(target.weights.sum())) > MASS_BALANCE_TOL:
-        raise MassImbalance("source and target carry different total mass")
-    _check_p(p)
-
-
-def _check_costs(costs: np.ndarray, p: float) -> None:
-    if not np.isfinite(costs).all():
-        raise TransportError(f"slice costs overflow: |x - y|**p exceeds the float range at p={p!r}")
 
 
 def _layout(proj: ProjectedMeasure):
@@ -90,16 +67,6 @@ def _spread(a, b, m, source, target):
         scale = np.bincount(entry, weights=mass) / np.bincount(entry[keep], weights=mass[keep])
         si, tj, mass = si[keep], tj[keep], mass[keep] * scale[entry[keep]]
     return members_s[si], members_t[tj], mass
-
-
-def _check_run(source, target, directions, p, grouping_tol) -> np.ndarray:
-    """Check the inputs of one run; return the checked directions."""
-    _check_pair(source, target, p)
-    directions = _check_directions(directions, source.dim)
-    _check_tol(grouping_tol)
-    if len(source) * len(target) * directions.shape[0] > np.iinfo(np.int64).max:
-        raise InstanceTooLarge("n * m * L exceeds the int64 range of the merge keys")
-    return directions
 
 
 def _chunks(source: DiscreteMeasure, target: DiscreteMeasure, directions: np.ndarray,
@@ -141,25 +108,3 @@ def _chunks(source: DiscreteMeasure, target: DiscreteMeasure, directions: np.nda
             bounds = np.array([0, i.shape[0]])
             costs = _plan_costs(source.atoms, target.atoms, i, j, mass, p, bounds)
             yield np.array([lo + row]), bounds, i, j, mass, costs
-
-
-def lift_for_direction(
-    source: DiscreteMeasure,
-    target: DiscreteMeasure,
-    direction,
-    p: float = 2.0,
-    grouping_tol: float = DEFAULT_GROUPING_TOL,
-) -> tuple[TransportPlan, float]:
-    """Project both measures onto a direction, solve in 1D, lift back.
-
-    Returns the lifted plan together with its ambient cost
-    ``plan_cost(plan, source, target, p)``, the slice's contribution to the
-    sliced distance.  A cost that overflows the float range raises
-    TransportError.
-    """
-    direction = np.asarray(direction, dtype=float).reshape(1, -1)
-    directions = _check_run(source, target, direction, p, grouping_tol)
-    with np.errstate(over="ignore"):
-        ((_, _, i, j, mass, costs),) = _chunks(source, target, directions, p, grouping_tol)
-    _check_costs(costs, p)
-    return TransportPlan(len(source), len(target), i, j, mass), float(costs[0])

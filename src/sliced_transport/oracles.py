@@ -107,7 +107,8 @@ def wasserstein_1d(u_positions, u_weights, v_positions, v_weights, p: float = 2.
 
     Merges the cumulative-mass breakpoints of both measures and integrates
     |F_u^{-1} - F_v^{-1}|^p over the unit mass interval segment by segment.
-    Raises TransportError when that integral overflows the float range.
+    Raises TransportError for a position or weight that is not finite, and
+    when that integral overflows the float range.
     """
     _check_p(p)
     u_pos = np.asarray(u_positions, dtype=float).ravel()
@@ -118,8 +119,11 @@ def wasserstein_1d(u_positions, u_weights, v_positions, v_weights, p: float = 2.
         raise DimensionMismatch("positions and weights must align")
     if u_pos.size == 0 or v_pos.size == 0:
         raise TransportError("measures must be nonempty")
-    if np.any(u_w < 0) or np.any(v_w < 0):
-        raise TransportError("weights must be nonnegative")
+    if not (np.isfinite(u_pos).all() and np.isfinite(v_pos).all()):
+        raise TransportError("positions must be finite")
+    # Written so that NaN fails it.
+    if not (((0 <= u_w) & (u_w < np.inf)).all() and ((0 <= v_w) & (v_w < np.inf)).all()):
+        raise TransportError("weights must be finite and nonnegative")
     if abs(float(u_w.sum()) - float(v_w.sum())) > 1e-9:
         raise MassImbalance("total masses differ by more than 1e-9")
     us = np.argsort(u_pos, kind="stable")

@@ -230,6 +230,11 @@ def _monotone(ms: np.ndarray, mt: np.ndarray):
     return r[keep], a[keep], b[keep], mass[keep]
 
 
+def _check_seed(seed: int) -> None:
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise TransportError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def sample_sphere(count: int, dim: int, seed: int) -> np.ndarray:
     """Draw ``count`` unit directions in R^dim, deterministically by seed.
 
@@ -239,6 +244,7 @@ def sample_sphere(count: int, dim: int, seed: int) -> np.ndarray:
     """
     if count < 1 or dim < 1:
         raise TransportError("need count >= 1 and dim >= 1")
+    _check_seed(seed)
     if dim == 1:
         signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
         return signs.reshape(count, 1)

@@ -15,6 +15,14 @@ each ``ProjectedMeasure``).  The CLI's
 ``distance``, ``plan`` and ``interpolate`` outputs (sidecars included) are
 digested on one small pair.  pytest does not collect this file: its name
 does not start with ``test_``.
+
+The script imports the package from ``PYTHONPATH``, so one copy of it
+digests any checkout.  To compare the working tree with its parent commit:
+
+    git worktree add /tmp/parent HEAD
+    PYTHONPATH=src python tests/engine_digests.py > change.txt
+    PYTHONPATH=/tmp/parent/src python tests/engine_digests.py > parent.txt
+    diff parent.txt change.txt && git worktree remove /tmp/parent
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 
 from sliced_transport import (
     METHODS,
+    DimensionMismatch,
     EmbeddingMatrix,
     InvalidCoupling,
     InvalidT,
@@ -123,6 +124,14 @@ def test_barycentric_projection_splits_by_mass():
     plan = product_coupling(mu, nu)
     bary = barycentric_projection(plan, mu, nu)
     assert bary[0, 0] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("target_dim", [2, 4])
+def test_barycentric_projection_rejects_a_dimension_mismatch(target_dim):
+    reference = make_measure(np.eye(3), [0.2, 0.3, 0.5])
+    target = make_measure(np.ones((5, target_dim)) * np.arange(5)[:, None], np.full(5, 0.2))
+    with pytest.raises(DimensionMismatch):
+        barycentric_projection(product_coupling(reference, target), reference, target)
 
 
 def test_barycentric_projection_matches_add_at_bitwise():

@@ -279,6 +279,17 @@ def test_option_values_are_checked_before_the_experiment_name(runner, tmp_path):
         assert len(result.output.splitlines()) == 1, option
 
 
+def test_negative_seed_exits_2_with_one_error_line(runner, pair_files, tmp_path):
+    a, b, *_ = pair_files
+    out = tmp_path / "out"
+    for args in (["distance", a, b], ["plan", a, b, str(out / "plan.csv")],
+                 ["experiment", "temperature-sweep", str(out)]):
+        result = runner.invoke(main, args + ["--seed", "-1"])
+        assert result.exit_code == 2, args
+        assert result.output == "error: seed must be an integer >= 0, got -1\n", args
+    assert not out.exists()
+
+
 def test_lambda_is_checked_whatever_the_method(runner, pair_files):
     a, b, *_ = pair_files
     result = runner.invoke(main, ["distance", a, b, "--method", "est", "--lambda", "0"])

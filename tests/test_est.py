@@ -271,6 +271,9 @@ def test_min_swgg_picks_argmin():
     assert best == int(np.argmin(costs))
     assert cost == costs[best]
     assert validate_coupling(plan, mu, nu)[0]
+    lifted, _ = lift_for_direction(mu, nu, dirs[best])
+    for field in ("i", "j", "mass"):
+        assert getattr(plan, field).tobytes() == getattr(lifted, field).tobytes()
 
 
 def test_min_swgg_tie_goes_to_the_lowest_index_across_blocks():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from sliced_transport import (
+    SliceSet,
+    est_plan,
     lift_for_direction,
     make_measure,
     plan_cost,
@@ -80,6 +82,17 @@ def test_lift_for_direction_valid_coupling_grouped_or_not():
     ok, dev = validate_coupling(plan, mu, nu)
     assert ok
     assert dev < 1e-12
+
+
+@pytest.mark.parametrize("regime", ["exact-ties", "near-ties", "duplicates", "pareto"])
+def test_lift_for_direction_is_est_plan_of_its_one_direction(regime):
+    for seed in range(10):
+        mu, nu, theta = adversarial_pair(regime, seed)
+        plan, cost = lift_for_direction(mu, nu, theta)
+        res = est_plan(mu, nu, SliceSet.uniform(theta[None]))
+        for field in ("i", "j", "mass"):
+            assert getattr(plan, field).tobytes() == getattr(res.plan, field).tobytes()
+        assert res.per_slice_costs.tolist() == [cost]
 
 
 def test_lift_p_changes_cost_not_plan():

@@ -137,6 +137,19 @@ def test_wasserstein_1d_rejects_negative_weight():
         wasserstein_1d([0.0, 1.0], [1.5, -0.5], [0.0], [1.0])
 
 
+@pytest.mark.parametrize("u_pos, u_w, what", [
+    ([0.0, 1.0], [math.nan, 1.0], "weights"),
+    ([0.0, 1.0], [math.inf, 1.0], "weights"),
+    ([math.nan, 1.0], [0.5, 0.5], "positions"),
+    ([math.inf, 1.0], [0.5, 0.5], "positions"),
+])
+def test_wasserstein_1d_rejects_non_finite_input(u_pos, u_w, what):
+    with pytest.raises(TransportError, match=f"^{what} must be finite"):
+        wasserstein_1d(u_pos, u_w, [0.0, 2.0], [0.5, 0.5])
+    with pytest.raises(TransportError, match=f"^{what} must be finite"):
+        wasserstein_1d([0.0, 2.0], [0.5, 0.5], u_pos, u_w)
+
+
 # ---------------------------------------------------------------------------
 # entropic plans
 

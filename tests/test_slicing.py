@@ -402,6 +402,9 @@ def test_sample_sphere_rejects_bad_args():
         sample_sphere(0, 3, seed=0)
     with pytest.raises(TransportError):
         sample_sphere(4, 0, seed=0)
+    for dim, seed in ((1, -1), (3, -1), (3, 1.5)):
+        with pytest.raises(TransportError, match="^seed must"):
+            sample_sphere(4, dim, seed=seed)
 
 
 def test_projections_do_not_depend_on_the_chunk_shape():
