@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 2 unreadable/unparsable input, an out-of-domain option value, or
-input a solver rejects (any TransportError a command does not handle), 3
-dimension mismatch between the two measures, 4 unwritable output location,
-5 unknown experiment name.
+Exit codes: 2 unreadable/undecodable/unparsable input, an out-of-domain
+option value, or input a solver rejects (any TransportError a command does
+not handle), 3 dimension mismatch between the two measures, 4 unwritable
+output location, 5 unknown experiment name.
 Given the same inputs, options, and seed the outputs are byte-identical
 across runs.
 """

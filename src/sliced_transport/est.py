@@ -55,6 +55,7 @@ from .slicing import (
     _breaks,
     _check_directions,
     _check_tol,
+    _one_direction,
 )
 
 WEIGHT_SUM_TOL = 1e-12
@@ -293,13 +294,12 @@ def lift_for_direction(
     p: float = 2.0,
     grouping_tol: float = DEFAULT_GROUPING_TOL,
 ) -> tuple[TransportPlan, float]:
-    """Project both measures onto a direction, solve in 1D, lift back.
+    """Project both measures onto a direction, shape (d,) or (1, d), solve in 1D, lift back.
 
     Returns the lifted plan together with its ambient cost
     ``plan_cost(plan, source, target, p)``, the slice's contribution to the
     sliced distance.  A cost that overflows the float range raises
     TransportError.
     """
-    direction = np.asarray(direction, dtype=float).reshape(1, -1)
-    plan, costs, _ = _run(source, target, direction, p, grouping_tol, np.ones_like)
+    plan, costs, _ = _run(source, target, _one_direction(direction), p, grouping_tol, np.ones_like)
     return plan, float(costs[0])

@@ -175,6 +175,8 @@ def sinkhorn(
 
     _check_p(p)
     _check_lam(lam)
+    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 1):
+        raise TransportError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     costs = _pairwise_pth_costs(source, target, p)
     a = source.weights
     b = target.weights

@@ -90,6 +90,14 @@ def _check_directions(directions, dim: int) -> np.ndarray:
     return directions
 
 
+def _one_direction(direction) -> np.ndarray:
+    """A direction of shape (d,) or (1, d) as a (1, d) float array, or a DimensionMismatch."""
+    theta = np.asarray(direction, dtype=float)
+    if theta.ndim not in (1, 2) or theta.ndim == 2 and len(theta) != 1:
+        raise DimensionMismatch(f"a direction has shape (d,) or (1, d), got {theta.shape}")
+    return theta.reshape(1, -1)
+
+
 def _check_tol(grouping_tol: float) -> None:
     if not 0 <= grouping_tol < np.inf:
         raise TransportError(f"grouping_tol must be a finite number >= 0, got {grouping_tol!r}")
@@ -156,13 +164,13 @@ def project(
     direction,
     grouping_tol: float = DEFAULT_GROUPING_TOL,
 ) -> ProjectedMeasure:
-    """Push a measure onto a unit direction, merging coincident projections.
+    """Push a measure onto a unit direction, shape (d,) or (1, d), merging coincident projections.
 
     Atoms are sorted by projected value (original index as tie-break) and
     grouped by the running-representative rule of the module docstring.
     The result is valid by construction and built without checks.
     """
-    theta = _check_directions(np.asarray(direction, dtype=float).reshape(1, -1), measure.dim)
+    theta = _check_directions(_one_direction(direction), measure.dim)
     _check_tol(grouping_tol)
     (order,), (values,), (opens,) = _sort_rows(measure.atoms, theta, grouping_tol)
     weights = measure.weights[order]
@@ -242,8 +250,8 @@ def sample_sphere(count: int, dim: int, seed: int) -> np.ndarray:
     rejected and redrawn.  On the line (dim == 1) the two possible
     directions alternate +1, -1 instead of being sampled.
     """
-    if count < 1 or dim < 1:
-        raise TransportError("need count >= 1 and dim >= 1")
+    if not all(isinstance(k, (int, np.integer)) and k >= 1 for k in (count, dim)):
+        raise TransportError(f"need integers count >= 1 and dim >= 1, got {count!r} and {dim!r}")
     _check_seed(seed)
     if dim == 1:
         signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)

@@ -13,8 +13,9 @@ every other slice weight 0, ``min_swgg``, ``lift_for_direction``,
 ``project`` of both measures along its first direction (all five arrays of
 each ``ProjectedMeasure``).  The CLI's
 ``distance``, ``plan`` and ``interpolate`` outputs (sidecars included) are
-digested on one small pair.  pytest does not collect this file: its name
-does not start with ``test_``.
+digested on one small pair, and what the file readers return for five
+files, three of which only the row reader parses.  pytest does not collect
+this file: its name does not start with ``test_``.
 
 The script imports the package from ``PYTHONPATH``, so one copy of it
 digests any checkout.  To compare the working tree with its parent commit:
@@ -39,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from sliced_transport import (  # noqa: E402
     SliceSet,
+    TransportPlan,
     barycentric_projection,
     est_plan,
     est_plan_tempered,
@@ -125,6 +127,47 @@ def engine_digests():
     return outputs
 
 
+def reader_digests():
+    """Digests of what ``read_measure`` and ``read_plan_csv`` return for five files.
+
+    Quoted fields and ``1_0``-style numbers are parsed by the row reader
+    alone; a plan as ``write_plan_csv`` writes it and a JSON measure cover
+    the other routes.
+    """
+    rng = np.random.default_rng(11)
+    measure = make_measure(rng.standard_normal((50, 3)), _weights(rng, 50))
+    table = np.column_stack([measure.weights, measure.atoms])
+    grid = rng.integers(-5000, 5000, size=(50, 3))
+    size = 1500
+    ii, jj = rng.choice(size, 40, replace=False), rng.integers(0, size, 40)
+    mass = _weights(rng, 40)
+    quoted = ("".join(f'"{v!r}",' for v in row)[:-1] for row in table.tolist())
+    underscored = (f"{w!r}," + ",".join(f"{v:_}.25" for v in row)
+                   for w, row in zip(measure.weights.tolist(), grid.tolist()))
+    entries = (f"{i:_},{j:_},{m!r}" for i, j, m in zip(ii.tolist(), jj.tolist(), mass.tolist()))
+    files = {
+        "quoted.csv": "w,x1,x2,x3\r\n" + "\r\n".join(quoted),
+        "underscored.csv": "w,x1,x2,x3\n" + "\n".join(underscored),
+        "underscored_plan.csv": "i,j,mass\n" + "\n".join(entries),
+    }
+    outputs = {}
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for name, text in files.items():
+            Path(name).write_text(text)
+        io.write_plan_csv(TransportPlan(size, size, ii, jj, mass), "plan.csv")
+        io.write_measure(measure, "measure.json")
+        for name in ("quoted.csv", "underscored.csv", "measure.json"):
+            read = io.read_measure(name)
+            outputs[f"read_measure {name}"] = hashlib.sha256(
+                read.atoms.tobytes() + read.weights.tobytes())
+        for name in ("underscored_plan.csv", "plan.csv"):
+            read = io.read_plan_csv(name)
+            outputs[f"read_plan_csv {name}"] = hashlib.sha256(
+                _floats(read.source_size, read.target_size) + _plan_bytes(read))
+    return outputs
+
+
 CLI_RUNS = (
     ("distance", "source.csv", "target.csv", "--slices", "16"),
     ("distance", "source.csv", "target.csv", "--slices", "16", "--tau", "3", "--per-slice"),
@@ -158,5 +201,5 @@ def cli_digests():
 
 
 if __name__ == "__main__":
-    for name, digest in {**engine_digests(), **cli_digests()}.items():
+    for name, digest in {**engine_digests(), **cli_digests(), **reader_digests()}.items():
         print(f"{digest.hexdigest()}  {name}")

@@ -26,7 +26,7 @@ from sliced_transport import (
 )
 from sliced_transport import cli
 from sliced_transport.cli import main
-from util import random_pair
+from util import non_utf8_files, random_pair
 
 
 @pytest.fixture()
@@ -219,6 +219,16 @@ def test_unparsable_input_exit_code(runner, tmp_path):
     assert result.exit_code == 2
     result = runner.invoke(main, ["distance", str(tmp_path / "missing.csv"), str(ok)])
     assert result.exit_code == 2
+
+
+def test_undecodable_input_exits_2_with_one_error_line(runner, tmp_path):
+    ok = tmp_path / "ok.csv"
+    io.write_measure_csv(make_measure([(0.0,)], [1.0]), ok)
+    for bad in non_utf8_files(tmp_path):
+        result = runner.invoke(main, ["distance", str(bad), str(ok)])
+        assert result.exit_code == 2, bad
+        assert result.output.startswith(f"error: cannot read measure {bad}: {bad}: not UTF-8 text")
+        assert result.output.count("\n") == 1
 
 
 def test_non_finite_atoms_exit_code(runner, tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 from decimal import Decimal
 from io import StringIO
@@ -20,7 +21,7 @@ from sliced_transport import (
     make_measure,
     product_coupling,
 )
-from util import random_pair
+from util import non_utf8_files, random_pair
 
 
 def test_measure_csv_round_trip_exact(tmp_path):
@@ -159,18 +160,33 @@ def test_int_columns_print_their_digits():
 
 
 def read_outcome(reader, path, monkeypatch, loadtxt):
-    """A reader's result as comparable bits, or its error message."""
-    with monkeypatch.context() as patch:
+    """A reader's result as comparable bits or its error message, and whether np.loadtxt returned a table.
+
+    With ``loadtxt`` false, ``np.loadtxt`` refuses every body, so the row
+    reader reads it.
+    """
+    real, tables = np.loadtxt, []
+
+    def spy(*args, **kwargs):
         if not loadtxt:
-            patch.setattr(io, "_loadtxt", lambda path, dtype: None)
+            raise ValueError("refused")
+        tables.append(real(*args, **kwargs))
+        return tables[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(io.np, "loadtxt", spy)
         try:
             result = reader(path)
         except TransportError as exc:
-            return "error", str(exc)
-    if isinstance(result, DiscreteMeasure):
-        return "measure", result.atoms.tobytes(), result.weights.tobytes()
-    return "plan", result.source_size, result.target_size, result.i.tobytes(), result.j.tobytes(), \
-        result.mass.tobytes()
+            result = exc
+    if isinstance(result, TransportError):
+        outcome = "error", str(result)
+    elif isinstance(result, DiscreteMeasure):
+        outcome = "measure", result.atoms.tobytes(), result.weights.tobytes()
+    else:
+        outcome = ("plan", result.source_size, result.target_size, result.i.tobytes(),
+                   result.j.tobytes(), result.mass.tobytes())
+    return outcome, bool(tables)
 
 
 # (reader, body below the header, whether np.loadtxt parses it); the line
@@ -190,8 +206,10 @@ READER_CASES = [
     (io.read_measure_csv, "0.5,-0.0\r\n0.5,2.0\r\n", True),
     (io.read_measure_csv, "0.5,1.0\r0.5,2.0\r", True),
     (io.read_measure_csv, "0.5,inf\n0.5,nan\n", True),
-    (io.read_measure_csv, "0.5,1.0,2.0\n0.5,2.0,3.0\n", True),
+    (io.read_measure_csv, "0.5,1.0,2.0\n0.5,2.0,3.0\n", False),
     (io.read_measure_csv, "0.5,\x1c1.0\n0.5,2.0\x1f\n", False),
+    (io.read_measure_csv, "0.5,\u0661\u0662\n0.5,\u0968.\u0665\n", False),
+    (io.read_measure_csv, '"0.5","1.0"\r\n"0.5\r\n",2.0\r\n', False),
     (io.read_plan_csv, "0,0,0.5\n1,1,0.5\n", True),
     (io.read_plan_csv, "0,0,1.0\n", True),
     (io.read_plan_csv, "", False),
@@ -205,6 +223,8 @@ READER_CASES = [
     (io.read_plan_csv, "0,0,0.5\n \n", False),
     (io.read_plan_csv, "0,0,0.5\n\n +1 , 1,0.5\n", True),
     (io.read_plan_csv, "0\x1d,0,1.0\n", False),
+    (io.read_plan_csv, "\u0660,0,0.5\n\u0661,\u0967,0.5\n", False),
+    (io.read_plan_csv, '"0","0","0.5"\r\n1,"1\r\n",0.5\r\n', False),
 ]
 
 
@@ -213,9 +233,9 @@ def test_readers_agree_with_the_line_reader(tmp_path, monkeypatch, reader, body,
     header = "i,j,mass" if reader is io.read_plan_csv else "w,x1"
     path = tmp_path / "table.csv"
     path.write_bytes(f"{header}\n{body}".encode())
-    dtype = io._PLAN_ROW if reader is io.read_plan_csv else float
-    assert (io._loadtxt(path, dtype) is not None) == parsed
-    assert read_outcome(reader, path, monkeypatch, True) == read_outcome(reader, path, monkeypatch, False)
+    outcome, loadtxt_parsed = read_outcome(reader, path, monkeypatch, True)
+    assert loadtxt_parsed == parsed
+    assert outcome == read_outcome(reader, path, monkeypatch, False)[0]
 
 
 def test_measure_json_memory_is_bounded_by_the_block(tmp_path):
@@ -298,6 +318,24 @@ def test_measure_json_rejects_wrong_shape(tmp_path):
     path.write_text("{not json")
     with pytest.raises(TransportError):
         io.read_measure_json(path)
+
+
+def test_non_utf8_input_is_a_transport_error(tmp_path):
+    for path in non_utf8_files(tmp_path):
+        with pytest.raises(TransportError, match=f"^{re.escape(str(path))}: not UTF-8 text: "):
+            io.read_measure(path)
+
+
+def test_a_field_over_the_csv_size_limit_is_a_transport_error(tmp_path):
+    # An unclosed quote runs to the end of the file: one field of ~200 KB.
+    rows = "".join(f"0.001,{k}.5\n" for k in range(20000))
+    for reader, text in ((io.read_measure_csv, f'w,x1\n"0.001,0.5\n{rows}'),
+                         (io.read_measure_csv, f'w,"x1\n{rows}'),
+                         (io.read_plan_csv, f'i,j,mass\n0,0,"1.0\n{rows}')):
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        with pytest.raises(TransportError, match="field larger than field limit"):
+            reader(path)
 
 
 # ---------------------------------------------------------------------------

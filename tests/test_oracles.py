@@ -229,3 +229,6 @@ def test_sinkhorn_rejects_bad_parameters():
             sinkhorn(mu, mu, lam=lam)
     with pytest.raises(TransportError):
         sinkhorn(mu, mu, p=1.0)
+    for max_iters in (0, -1, 2.5):
+        with pytest.raises(TransportError, match="^max_iters must be an integer >= 1"):
+            sinkhorn(mu, mu, max_iters=max_iters)

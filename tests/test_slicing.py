@@ -1,16 +1,21 @@
 """Projection onto lines, 1D monotone plans, and direction sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliced_transport import (
+    DimensionMismatch,
     NonUnitDirection,
     TransportError,
+    lift_for_direction,
     make_measure,
     project,
     sample_sphere,
+    transport,
 )
 from sliced_transport.slicing import DEFAULT_GROUPING_TOL, _monotone, _projections, _sort_rows
 from util import (
@@ -75,6 +80,24 @@ def test_project_rejects_dimension_mismatch():
     m = make_measure([(0.0, 0.0)], [1.0])
     with pytest.raises(TransportError):
         project(m, np.array([1.0]))
+
+
+@pytest.mark.parametrize("dim, direction", [
+    (2, np.eye(2)),
+    (4, np.full((2, 2), 0.5)),  # flattened, a unit 4-vector
+    (1, np.array(1.0)),
+    (2, np.array([[[1.0, 0.0]]])),
+])
+def test_one_direction_has_shape_d_or_1_by_d(dim, direction):
+    mu = make_measure(np.eye(dim), np.full(dim, 1 / dim))
+    shape = re.escape(str(direction.shape))
+    with pytest.raises(DimensionMismatch, match=rf"^a direction has shape \(d,\) or \(1, d\), got {shape}$"):
+        project(mu, direction)
+    with pytest.raises(DimensionMismatch, match=shape):
+        lift_for_direction(mu, mu, direction)
+    unit = np.eye(dim)[0]
+    assert project(mu, unit[None]).class_values.tobytes() == project(mu, unit).class_values.tobytes()
+    assert lift_for_direction(mu, mu, unit[None])[1] == lift_for_direction(mu, mu, unit)[1]
 
 
 def test_project_grouping_tol_is_relative():
@@ -405,6 +428,12 @@ def test_sample_sphere_rejects_bad_args():
     for dim, seed in ((1, -1), (3, -1), (3, 1.5)):
         with pytest.raises(TransportError, match="^seed must"):
             sample_sphere(4, dim, seed=seed)
+    for count, dim in ((2.5, 2), (3, 2.5), (np.float64(3.0), 2)):
+        with pytest.raises(TransportError, match="^need integers count >= 1 and dim >= 1"):
+            sample_sphere(count, dim, 0)
+    mu = make_measure([(0.0, 0.0), (1.0, 0.0)], [0.5, 0.5])
+    with pytest.raises(TransportError, match="^need integers"):
+        transport(mu, mu, slices=2.5)
 
 
 def test_projections_do_not_depend_on_the_chunk_shape():

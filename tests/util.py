@@ -20,6 +20,17 @@ def random_measure(rng: np.random.Generator, n: int, d: int, uniform: bool = Fal
     return make_measure(atoms, weights)
 
 
+def non_utf8_files(directory):
+    """Measure files holding one byte that is not UTF-8: in the header, past the first 8 KiB, a UTF-16 BOM."""
+    rows = "".join(f"0.001,{k}.5\n" for k in range(1000)).encode()
+    files = {"header.csv": b"w,x\xff1\n" + rows, "late.csv": b"w,x1\n" + rows + b"0.001,\xff\n",
+             "bom.json": b"\xff\xfe" + '{"weights": [1.0], "atoms": [[0.0]]}'.encode("utf-16-le")}
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    assert len(rows) > 8192
+    return [directory / name for name in files]
+
+
 def random_pair(seed: int, max_n: int = 50, max_d: int = 5, uniform: bool = False,
                 min_d: int = 1):
     """A random measure pair sharing one ambient dimension."""
